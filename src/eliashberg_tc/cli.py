@@ -43,8 +43,6 @@ def _fmt(x: Optional[float]) -> str:
 def cmd_bounds(args) -> int:
     m = measure.load(args.measure_file)
     t = args.temperature
-    if not t > 0.0:
-        raise ValidationError(f"temperature must be positive, got {t}")
     n_big = args.max_n
     closed = [stability.k_closed_form(m, t, n) for n in (1, 2, 3, 4)]
     k_numeric = stability.k_numeric(m, t, n_big)
@@ -80,14 +78,13 @@ def _report_lines(report: tc_solver.TcReport) -> list[str]:
             lines.append(
                 f"Tc_{entry.n:<4} {_fmt(entry.value):>18}  [lower bound, {entry.status}]"
             )
-    if report.converged_tc is not None:
+    if report.tolerance is not None:  # single ranks have no convergence line
         lines.append(
             f"Tc (converged, rank {report.converged_n}, tol {_fmt(report.tolerance)})"
-            f" = {_fmt(report.converged_tc)}  [lower bound, "
-            f"{report.ladder[-1].status}]"
+            f" = {_fmt(report.converged_tc)}  [lower bound, {report.ladder[-1].status}]"
+            if report.converged_tc is not None
+            else "Tc (converged) unavailable at the rank cap"
         )
-    else:
-        lines.append("Tc (converged) unavailable at the rank cap")
     flat = report.tc_flat
     lines.append(
         f"Tc_flat  {_fmt(flat):>18}  [lower bound, proven]"
@@ -127,34 +124,21 @@ def cmd_tc(args) -> int:
     m = measure.load(args.measure_file)
     lam = args.coupling
     if args.n is not None:
-        ladder = tuple(tc_solver.tc_n(m, lam, n) for n in (1, 2, 3, 4) if n <= args.n)
-        if args.n > 4:
-            ladder = ladder + (tc_solver.tc_n(m, lam, args.n),)
-        strong, easy = bounds.lambda_star_bounds(m)
-        report = tc_solver.TcReport(
-            coupling=lam,
-            measure=m,
-            ladder=ladder,
-            tc_flat=bounds.tc_flat(m, lam),
-            tc_sharp=bounds.tc_sharp(m, lam),
-            tc_tilde=bounds.tc_tilde(m, lam),
-            lambda_star_strong=strong,
-            lambda_star_easy=easy,
-            converged_tc=None,
-            converged_n=None,
-            tolerance=float("nan"),
-        )
-        lines = _report_lines(report)
-        lines = [line for line in lines if "converged" not in line]
+        ranks = sorted({n for n in (1, 2, 3, 4) if n <= args.n} | {args.n})
+        report = tc_solver.tc_report(m, lam, [tc_solver.tc_n(m, lam, n) for n in ranks])
     else:
         report = tc_solver.tc_converged(m, lam, tol=args.converge)
-        lines = _report_lines(report)
     if args.json:
         print(json.dumps(_report_json(report), indent=2, sort_keys=True))
     else:
-        for line in lines:
+        for line in _report_lines(report):
             print(line)
     return EXIT_OK
+
+
+def _scaled(values, scale: float) -> list[str]:
+    """Render each value divided by ``scale``; undefined values stay empty."""
+    return [_fmt(v / scale if v is not None else None) for v in values]
 
 
 def write_sweep(
@@ -190,24 +174,10 @@ def write_sweep(
         converged = None
         if converge_tol is not None:
             converged = tc_solver.tc_converged(m, lam, tol=converge_tol).converged_tc
-        row = [
-            _fmt(lam),
-            _fmt(flat / norm if flat is not None else None),
-            _fmt(sharp / norm),
-            _fmt(tilde / norm),
-            _fmt(entry4.value / norm if entry4.value is not None else None),
-            _fmt(converged / norm if converged is not None else None),
-        ]
+        cells = (flat, sharp, tilde, entry4.value, converged)
+        row = [_fmt(lam)] + _scaled(cells, norm)
         if inverse_sqrt_x:
-            y_scale = rms * math.sqrt(lam)
-            row += [
-                _fmt(1.0 / math.sqrt(lam)),
-                _fmt(flat / y_scale if flat is not None else None),
-                _fmt(sharp / y_scale),
-                _fmt(tilde / y_scale),
-                _fmt(entry4.value / y_scale if entry4.value is not None else None),
-                _fmt(converged / y_scale if converged is not None else None),
-            ]
+            row += [_fmt(1.0 / math.sqrt(lam))] + _scaled(cells, rms * math.sqrt(lam))
         stream.write(",".join(row) + "\n")
 
 
@@ -232,10 +202,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    if not args.gamma > 0.0:
-        raise ValidationError(f"gamma must be positive, got {args.gamma}")
-    if args.n < 1:
-        raise ValidationError(f"rank must be >= 1, got {args.n}")
     pair = gamma_model.g_top(args.gamma, args.n)
     print(f"g({_fmt(args.gamma)}) at rank {args.n} = {_fmt(pair.value)}")
     print(f"(1/2pi) * g^(1/gamma) = {_fmt(pair.value ** (1.0 / args.gamma) / (2.0 * math.pi))}")

@@ -3,7 +3,9 @@ expectations, and the Dirichlet-coefficient machinery.
 
 This is the temperature-free companion of the phonon stability operator:
 its kernels are inverse powers 1/k^gamma instead of Matsubara kernel
-averages.  At gamma = 2 it governs the strong-coupling asymptotics of the
+averages, and its matrices come from the same assembly routine
+(:func:`eliashberg_tc.stability.split_operator`); this module only supplies
+the kernel.  At gamma = 2 it governs the strong-coupling asymptotics of the
 critical temperature; the gamma = 4 expectation in the gamma = 2 optimizer
 supplies the next-to-leading coefficient.
 """
@@ -15,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import stability
 from .errors import ValidationError
 from .numerics import EigenPair, sym_eig_top
 
@@ -31,20 +34,11 @@ class GammaOperator:
         self.matrix.setflags(write=False)
 
 
-def _build_matrix(gamma: float, n: int) -> np.ndarray:
-    idx = np.arange(n)
-    inv_sqrt = 1.0 / np.sqrt(2.0 * idx + 1.0)
-    # kernel[j] = 1/j^gamma for j >= 1; kernel[0] = 0 encodes the vanishing
-    # same-index exchange term, so |n - m| may be indexed directly.
+def _gamma_kernel(gamma: float, n: int) -> np.ndarray:
+    """kernel[j] = 1/j^gamma for j = 1 .. 2N-1, and kernel[0] = 0."""
     kernel = np.zeros(2 * n, dtype=float)
     kernel[1:] = np.arange(1, 2 * n, dtype=float) ** (-gamma)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    summ = idx[:, None] + idx[None, :] + 1
-    m = (kernel[diff] + kernel[summ]) * np.outer(inv_sqrt, inv_sqrt)
-    # diagonal drag: -(1/(2n+1)) * sum_{k=1}^{n} 2/k^gamma
-    prefix = np.concatenate(([0.0], np.cumsum(kernel[1:n])))  # sums over k <= row index
-    m[idx, idx] -= 2.0 * prefix / (2.0 * idx + 1.0)
-    return m
+    return kernel
 
 
 def assemble_gamma(gamma: float, n: int) -> GammaOperator:
@@ -53,7 +47,8 @@ def assemble_gamma(gamma: float, n: int) -> GammaOperator:
         raise ValidationError(f"gamma must be positive, got {gamma}")
     if n < 1:
         raise ValidationError(f"order must be >= 1, got {n}")
-    return GammaOperator(gamma=float(gamma), order=int(n), matrix=_build_matrix(gamma, n))
+    matrix = stability.truncation(_gamma_kernel(gamma, n), n)
+    return GammaOperator(gamma=float(gamma), order=int(n), matrix=matrix)
 
 
 @lru_cache(maxsize=64)
@@ -130,24 +125,18 @@ def dirichlet_series(coeffs: np.ndarray, gamma: float) -> float:
 
 
 def hat_quadratic_form(theta, gamma: float) -> float:
-    """Direct double-sum evaluation of the angle-space quadratic form:
+    """Direct evaluation of the angle-space quadratic form
 
         - sum_n (sum_{k<=n} 2/k^gamma) theta_n^2
-        + sum_{n,m} theta_n [ (1-delta)/|n-m|^gamma + 1/(n+m+1)^gamma ] theta_m
+        + sum_{n,m} theta_n [ (1-delta)/|n-m|^gamma + 1/(n+m+1)^gamma ] theta_m,
 
-    Used as the independent cross-check of the Dirichlet expansion.
+    which is xi^T G xi for the rank-N truncation G and xi_n = sqrt(2n+1)
+    theta_n.  Used as the independent cross-check of the Dirichlet expansion.
     """
     th = np.asarray(theta, dtype=float)
     n = th.size
-    idx = np.arange(n)
-    kernel = np.zeros(2 * n, dtype=float)
-    kernel[1:] = np.arange(1, 2 * n, dtype=float) ** (-gamma)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    summ = idx[:, None] + idx[None, :] + 1
-    quad = float(th @ (kernel[diff] + kernel[summ]) @ th)
-    prefix = np.concatenate(([0.0], np.cumsum(kernel[1:n])))
-    quad -= float(np.sum(2.0 * prefix * th * th))
-    return quad
+    xi = th * np.sqrt(2.0 * np.arange(n) + 1.0)
+    return float(xi @ stability.truncation(_gamma_kernel(gamma, n), n) @ xi)
 
 
 def diagonal_weighted_norm(theta) -> float:

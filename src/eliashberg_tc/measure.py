@@ -300,10 +300,3 @@ def load(path) -> SpectralMeasure:
     with open(path, "r", encoding="utf-8") as handle:
         return from_json(handle.read())
 
-
-def moment(m: SpectralMeasure, k: int) -> float:
-    return m.moment(k)
-
-
-def kernel_average(m: SpectralMeasure, n: int, t: float) -> KernelAverage:
-    return m.kernel_average(n, t)

@@ -10,6 +10,10 @@ and on the diagonal the same-site exchange term is replaced by the drag
 
     K[n, n] = <<2n+1>>/(2n+1) - (2/(2n+1)) * sum_{k<=n} <<k>>.
 
+Both parts come from :func:`split_operator`, the one assembly routine
+shared with the gamma family (:mod:`eliashberg_tc.gamma_model`), which
+plugs inverse powers j^-gamma into the same kernel slots.
+
 Its top eigenvalue k_N(P, T) increases with N toward the stability
 threshold k(P, T); the reciprocal 1/k_N is a decreasing chain of upper
 bounds on the critical coupling.  Ranks one through four admit closed
@@ -67,21 +71,26 @@ class ZeroTemperatureLimit(NamedTuple):
     lambda_floor: float  # 1/k0: couplings below this are unreachable at rank N
 
 
-def _assemble_from_kernel(kernel: np.ndarray, n: int) -> np.ndarray:
+def split_operator(kernel: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise-nonnegative exchange matrix (Toeplitz in |n-m| plus Hankel
+    in n+m+1) and drag diagonal of the rank-N operator on ``kernel[0..2N-1]``
+    (kernel[0] = 0: no same-site exchange).  The truncation is exchange -
+    diag(drag); Matsubara kernel averages give the phonon family and
+    kernel[j] = j^-gamma the gamma family."""
     idx = np.arange(n)
     inv_sqrt = 1.0 / np.sqrt(2.0 * idx + 1.0)
     diff = np.abs(idx[:, None] - idx[None, :])
     summ = idx[:, None] + idx[None, :] + 1
-    m = (kernel[diff] + kernel[summ]) * np.outer(inv_sqrt, inv_sqrt)
+    exchange = (kernel[diff] + kernel[summ]) * np.outer(inv_sqrt, inv_sqrt)
     prefix = np.concatenate(([0.0], np.cumsum(kernel[1:n])))
-    m[idx, idx] -= 2.0 * prefix / (2.0 * idx + 1.0)
-    return m
+    return exchange, 2.0 * prefix / (2.0 * idx + 1.0)
 
 
-def _limit_matrix(n: int) -> np.ndarray:
-    """Zero-temperature limit: -I + 2 u u^T with u_n = 1/sqrt(2n+1)."""
-    u = 1.0 / np.sqrt(2.0 * np.arange(n) + 1.0)
-    return -np.eye(n) + 2.0 * np.outer(u, u)
+def truncation(kernel: np.ndarray, n: int) -> np.ndarray:
+    """The rank-N truncation exchange - diag(drag) of :func:`split_operator`."""
+    matrix, drag = split_operator(kernel, n)
+    matrix[np.diag_indices(n)] -= drag
+    return matrix
 
 
 def assemble_k(m: SpectralMeasure, t: float, n: int) -> EliashbergOperator:
@@ -97,13 +106,14 @@ def assemble_k(m: SpectralMeasure, t: float, n: int) -> EliashbergOperator:
         raise ValidationError(f"temperature must be positive, got {t}")
     min_omega = float(np.min(m.omegas[m.weights > 0])) if m.kind != "tabulated" else float(m.omegas[0])
     if min_omega > 0.0 and min_omega / t > _WMAX_OVER_T_LIMIT:
-        kernel = np.zeros(2 * n, dtype=float)
-        kernel[1:] = 1.0
-        matrix = _limit_matrix(n)
-        return EliashbergOperator(measure=m, temperature=t, order=n, matrix=matrix, kernel=kernel)
-    kernel = m.kernel_values(t, 2 * n - 1)
+        # zero-temperature limit: every average is one, so the truncation
+        # is -I + 2 u u^T with u_n = 1/sqrt(2n+1)
+        kernel = np.ones(2 * n, dtype=float)
+        kernel[0] = 0.0
+    else:
+        kernel = m.kernel_values(t, 2 * n - 1)
     return EliashbergOperator(
-        measure=m, temperature=t, order=n, matrix=_assemble_from_kernel(kernel, n), kernel=kernel
+        measure=m, temperature=t, order=n, matrix=truncation(kernel, n), kernel=kernel
     )
 
 
@@ -164,25 +174,14 @@ def k_limit_T0(n: int) -> ZeroTemperatureLimit:
 
 
 def _clamped_arccos(x: float, slack: float = 1e-12) -> float:
-    if x > 1.0:
-        if x > 1.0 + slack:
-            raise NumericalError(
-                f"arccos argument {x!r} outside [-1, 1] beyond tolerance; the "
-                "spectrum is too degenerate for the closed form in double "
-                "precision (extreme dimensionless frequency) -- use the "
-                "eigensolver route"
-            )
-        x = 1.0
-    elif x < -1.0:
-        if x < -1.0 - slack:
-            raise NumericalError(
-                f"arccos argument {x!r} outside [-1, 1] beyond tolerance; the "
-                "spectrum is too degenerate for the closed form in double "
-                "precision (extreme dimensionless frequency) -- use the "
-                "eigensolver route"
-            )
-        x = -1.0
-    return math.acos(x)
+    if abs(x) > 1.0 + slack:
+        raise NumericalError(
+            f"arccos argument {x!r} outside [-1, 1] beyond tolerance; the "
+            "spectrum is too degenerate for the closed form in double "
+            "precision (extreme dimensionless frequency) -- use the "
+            "eigensolver route"
+        )
+    return math.acos(float(np.clip(x, -1.0, 1.0)))
 
 
 def _top_root_rank3(mat: np.ndarray) -> float:
@@ -299,14 +298,7 @@ def c_spectral_radius(
     """
     if not lam > 0.0:
         raise ValidationError(f"coupling must be positive, got {lam}")
-    op = assemble_k(m, t, n)
-    idx = np.arange(n)
-    inv_sqrt = 1.0 / np.sqrt(2.0 * idx + 1.0)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    summ = idx[:, None] + idx[None, :] + 1
-    exchange = (op.kernel[diff] + op.kernel[summ]) * np.outer(inv_sqrt, inv_sqrt)
-    prefix = np.concatenate(([0.0], np.cumsum(op.kernel[1:n])))
-    drag = 2.0 * prefix / (2.0 * idx + 1.0)
+    exchange, drag = split_operator(assemble_k(m, t, n).kernel, n)
     resolvent = 1.0 / (1.0 / lam + drag)
 
     def apply(x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import bounds, stability
 from .errors import BracketError, NumericalError, ValidationError
@@ -25,17 +25,6 @@ from .numerics import bisect_monotone
 STATUS_PROVEN = "proven"
 STATUS_HEURISTIC = "heuristic"
 STATUS_UNDEFINED = "undefined"
-
-_BISECT_TOL = 1e-12  # relative bracket width on T^2 (kernels analytic in T^2)
-
-
-@dataclass(frozen=True)
-class InversionDomain:
-    """Where the rank-N inversion is rigorous for a given measure."""
-
-    t_star: float           # monotonicity threshold temperature
-    lambda_floor: float     # zero-temperature floor of the rank-N bound
-    lambda_star_easy: float  # moment-only upper estimate of the coupling edge
 
 
 @dataclass(frozen=True)
@@ -59,7 +48,7 @@ class TcReport:
     lambda_star_easy: float
     converged_tc: Optional[float]
     converged_n: Optional[int]
-    tolerance: float
+    tolerance: Optional[float]  # None for a report of single ranks
 
 
 def t_star(m: SpectralMeasure) -> float:
@@ -67,14 +56,6 @@ def t_star(m: SpectralMeasure) -> float:
     The sharp threshold is unknown; this proven bound is what the status
     labels are judged against."""
     return bounds.t_star_threshold(m)
-
-
-def inversion_domain(m: SpectralMeasure, n: int) -> InversionDomain:
-    return InversionDomain(
-        t_star=t_star(m),
-        lambda_floor=stability.k_limit_T0(n).lambda_floor,
-        lambda_star_easy=bounds.lambda_star_bounds(m).easy,
-    )
 
 
 def _k_of_u(m: SpectralMeasure, n: int):
@@ -136,7 +117,7 @@ def tc_n(m: SpectralMeasure, lam: float, n: int) -> LadderEntry:
                 f"k({math.sqrt(u_hi):.3e}) = {f(u_hi):.6g} > 1/lam = {target:.6g}"
             )
     try:
-        u = bisect_monotone(f, u_lo, u_hi, target, tol=_BISECT_TOL)
+        u = bisect_monotone(f, u_lo, u_hi, target)
     except BracketError as exc:  # pragma: no cover - guarded above
         raise NumericalError(f"bisection bracket failed: {exc}") from exc
     value = math.sqrt(u)
@@ -181,6 +162,22 @@ def tc_converged(
             break
         previous = entry
         n *= 2
+    return tc_report(m, lam, ladder, converged_tc, converged_n, tol)
+
+
+def tc_report(
+    m: SpectralMeasure,
+    lam: float,
+    ladder: Iterable[LadderEntry],
+    converged_tc: Optional[float] = None,
+    converged_n: Optional[int] = None,
+    tolerance: Optional[float] = None,
+) -> TcReport:
+    """Bundle a ladder with the global bounds at coupling ``lam``.
+
+    ``tolerance`` is the rank-doubling tolerance of a converged ladder and
+    None for a report of single ranks.
+    """
     strong, easy = bounds.lambda_star_bounds(m)
     return TcReport(
         coupling=lam,
@@ -193,5 +190,5 @@ def tc_converged(
         lambda_star_easy=easy,
         converged_tc=converged_tc,
         converged_n=converged_n,
-        tolerance=tol,
+        tolerance=tolerance,
     )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eliashberg_tc import cli, stability
+from eliashberg_tc import cli, gamma_model, stability
 
 
 @pytest.fixture
@@ -99,6 +99,21 @@ class TestTcCommand:
         assert data["tc_tilde_status"] == "conjectured"
         assert all(set(e) == {"n", "tc", "status"} for e in data["ladder"])
 
+    @pytest.mark.parametrize("rank", ["0", "-3"])
+    def test_nonpositive_rank_exit_two(self, einstein_file, rank, capsys):
+        assert cli.main(["tc", einstein_file, "--coupling", "2", "--n", rank]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_single_rank_json_is_strict(self, einstein_file, capsys):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert cli.main(["tc", einstein_file, "--coupling", "10", "--n", "6", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert data["tolerance"] is None
+        assert data["converged_tc"] is None and data["converged_n"] is None
+        assert [e["n"] for e in data["ladder"]] == [1, 2, 3, 4, 6]
+
 
 class TestSweepCommand:
     def test_csv_schema_and_floor(self, einstein_file, tmp_path, capsys):
@@ -179,24 +194,26 @@ class TestVerifyCommand:
 
     def test_injected_sign_flip_fails_sandwich(self, monkeypatch, capsys):
         # mutation probe: flip the sign of the summed-index kernel inside
-        # assembly and the suite must fail, naming the ordering invariant
-        original = stability._assemble_from_kernel
+        # the shared assembly and the suite must fail, naming the ordering
+        # invariant
+        original = stability.split_operator
 
         def flipped(kernel, n):
             idx = np.arange(n)
             inv_sqrt = 1.0 / np.sqrt(2.0 * idx + 1.0)
             diff = np.abs(idx[:, None] - idx[None, :])
             summ = idx[:, None] + idx[None, :] + 1
-            m = (kernel[diff] - kernel[summ]) * np.outer(inv_sqrt, inv_sqrt)
-            prefix = np.concatenate(([0.0], np.cumsum(kernel[1:n])))
-            m[idx, idx] -= 2.0 * prefix / (2.0 * idx + 1.0)
-            return m
+            exchange = (kernel[diff] - kernel[summ]) * np.outer(inv_sqrt, inv_sqrt)
+            return exchange, original(kernel, n)[1]
 
-        monkeypatch.setattr(stability, "_assemble_from_kernel", flipped)
+        monkeypatch.setattr(stability, "split_operator", flipped)
         try:
             code = cli.main(["verify", "--fast"])
         finally:
-            monkeypatch.setattr(stability, "_assemble_from_kernel", original)
+            monkeypatch.setattr(stability, "split_operator", original)
+            # the flip also reached the memoized gamma-family values
+            gamma_model._top_pair.cache_clear()
+            gamma_model.expected_gamma.cache_clear()
         out = capsys.readouterr().out
         assert code == 1
         failing = [line for line in out.splitlines() if line.startswith("FAIL")]

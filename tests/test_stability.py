@@ -13,6 +13,22 @@ def varpi_atom(varpi, t=1.0 / (2.0 * math.pi)):
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("case", ["einstein", "discrete", "tabulated", "ultracold", "gamma"])
+    def test_split_operator_rebuilds_matrix(self, case, einstein_unit, two_atoms, triangle):
+        # exchange - diag(drag) is the assembled truncation, bit for bit
+        n = 7
+        if case == "gamma":
+            op = gamma_model.assemble_gamma(2.0, n)
+            kernel = np.zeros(2 * n)
+            kernel[1:] = np.arange(1, 2 * n, dtype=float) ** -2.0
+        else:
+            m = {"discrete": two_atoms, "tabulated": triangle}.get(case, einstein_unit)
+            op = stability.assemble_k(m, 1e-10 if case == "ultracold" else 0.13, n)
+            kernel = op.kernel
+            assert np.all(kernel[1:] == 1.0) == (case == "ultracold")
+        exchange, drag = stability.split_operator(kernel, n)
+        assert np.array_equal(exchange - np.diag(drag), op.matrix)
+
     def test_rank_one_entry(self):
         m, t = varpi_atom(1.0)
         op = stability.assemble_k(m, t, 1)
