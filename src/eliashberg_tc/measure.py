@@ -7,9 +7,12 @@ depends on the measure only through its even moments and the averages
 
     <<n>>(P, T) = integral of  w^2 / (w^2 + (2 n pi T)^2)  over P(dw),
 
-computed here in closed form for atoms and by adaptive quadrature for
-tabulated densities.  Measures are immutable after construction, so all
-reads are safe concurrently.
+computed here in closed form for atoms.  For tabulated densities they come
+from the elementary antiderivatives on each linear segment, arranged to
+avoid cancellation, or, once 2 n pi T >= 4 omega_max, from the alternating
+series in the even moments; both are accurate to about 1e-14 relative.
+Measures are immutable after construction, so all reads are safe
+concurrently.
 """
 
 from __future__ import annotations
@@ -17,14 +20,59 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DEFAULT_TOL, integrate_adaptive
 
 _MASS_REJECT = 1e-3  # |mass - 1| beyond this is rejected rather than rescaled
+
+# Alternating Taylor series, in powers of their argument, of
+# (u - atan u) / u^3 at u^2 and of (v - log1p v) / v^2 at v.  Both are used
+# below _SERIES_BELOW, where 13 terms reach double precision; above it the
+# direct differences lose at most a factor 48 to cancellation.
+_SERIES_BELOW = 1.0 / 16.0
+_ATAN_SERIES = tuple((-1) ** k / (2 * k + 3) for k in range(13))
+_LOG_SERIES = tuple((-1) ** k / (k + 2) for k in range(13))
+# At Matsubara offsets c >= _MOMENT_OFFSET (in units of omega_max) a
+# tabulated average is the alternating moment series
+# sum_k (-1)^(k+1) <w^2k> / c^2k, whose terms shrink at least 16-fold;
+# _MOMENT_TERMS of them reach double precision.
+_MOMENT_OFFSET = 4.0
+_MOMENT_TERMS = 16
+# Smaller offsets are raised to this floor, which keeps c^2 normal and moves
+# no average by more than 2e-140 times the peak density (in 1/omega_max).
+_OFFSET_FLOOR = 1e-140
+
+
+def _horner(x: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] * x**k by Horner's rule, which forms no power of x
+    beyond the first, so tiny x does not underflow."""
+    acc = coeffs[-1] * x
+    for coeff in coeffs[-2:0:-1]:
+        acc += coeff
+        acc *= x
+    acc += coeffs[0]
+    return acc
+
+
+def _moments(segments: np.ndarray, k_max: int) -> np.ndarray:
+    """Moments <w^k>, k = 0..k_max, of the piecewise-linear density.
+
+    On [a, b], with r = a/b, the hat functions (b - w)/h and (w - a)/h
+    integrate against w^k to h b^k / ((k+1)(k+2)) times
+    sum_{j<=k} (j+1) r^j and sum_{j<=k} (k+1-j) r^j; the second is the
+    twice-running sum of r^j.  Every term is nonnegative, so nothing
+    cancels.
+    """
+    a, b, pa, pb = (row[:, None] for row in segments)
+    k = np.arange(k_max + 1)
+    ratio_powers = (a / b) ** k
+    falling = np.cumsum(np.cumsum(ratio_powers, axis=1), axis=1)
+    rising = np.cumsum((k + 1) * ratio_powers, axis=1)
+    per_segment = (b - a) * b ** k * (pa * rising + pb * falling)
+    return per_segment.sum(axis=0) / ((k + 1) * (k + 2))
 
 
 @dataclass(frozen=True)
@@ -50,31 +98,49 @@ class SpectralMeasure:
         Atom weights summing to one, or density values at the nodes.
     omega_max : float
         Upper edge of the support.
+    segments : ndarray or None
+        Tabulated densities only: rows ``a, b, p_a, p_b`` of the segment
+        table, density ``p_a`` at ``a`` rising linearly to ``p_b`` at ``b``.
+        Derived from the nodes on construction; segments of zero width are
+        left out.
     """
 
     kind: str
     omegas: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     omega_max: float
+    segments: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # even moments <w^2>..<w^(2*_MOMENT_TERMS)> in units of omega_max (tabulated)
+    _even_moments: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.omegas.setflags(write=False)
         self.weights.setflags(write=False)
+        table = moments = None
+        if self.kind == "tabulated":
+            w, p = self.omegas, self.weights
+            keep = w[1:] > w[:-1]  # scaled() may round neighbouring nodes together
+            table = np.array([w[:-1][keep], w[1:][keep], p[:-1][keep], p[1:][keep]])
+            table.setflags(write=False)
+        object.__setattr__(self, "segments", table)
+        if table is not None:
+            moments = _moments(self._unit_segments(), 2 * _MOMENT_TERMS)[2::2]
+        object.__setattr__(self, "_even_moments", moments)
+
+    def _unit_segments(self) -> np.ndarray:
+        """The segment table with omega_max as the unit of frequency."""
+        scale = self.omega_max
+        return self.segments * np.array([[1.0 / scale], [1.0 / scale], [scale], [scale]])
 
     # -- moments -----------------------------------------------------------
 
     def moment(self, k: int) -> float:
-        """k-th moment <w^k> of the measure; exact for atoms."""
+        """k-th moment <w^k> of the measure, exact up to rounding."""
         if k < 0:
             raise ValidationError("moment order must be nonnegative")
         if self.kind in ("einstein", "discrete"):
             return float(np.sum(self.weights * self.omegas ** k))
-        total = 0.0
-        for a, b, alpha, beta in self._segments():
-            # integral of (alpha + beta w) w^k over [a, b], exact
-            total += alpha * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
-            total += beta * (b ** (k + 2) - a ** (k + 2)) / (k + 2)
-        return total
+        return float(_moments(self.segments, k)[k])
 
     # -- kernel averages ----------------------------------------------------
 
@@ -106,18 +172,60 @@ class SpectralMeasure:
                 axis=1,
             )
             return out
-        for i in range(1, count + 1):
-            ci2 = c[i] * c[i]
-            acc = 0.0
-            for a, b, alpha, beta in self._segments():
-                acc += integrate_adaptive(
-                    lambda w: (alpha + beta * w) * w * w / (w * w + ci2),
-                    a,
-                    b,
-                    DEFAULT_TOL.quad_tol,
-                )
-            out[i] = acc
+        offsets = c[1:] / self.omega_max
+        low = int(np.searchsorted(offsets, _MOMENT_OFFSET))
+        if low:
+            out[1:1 + low] = self._segment_averages(offsets[:low])
+        if low < count:
+            x = np.reciprocal(offsets[low:]) ** 2
+            out[1 + low:] = x * _horner(-x, self._even_moments)
         return out
+
+    def _segment_averages(self, offsets: np.ndarray) -> np.ndarray:
+        """Tabulated averages at Matsubara offsets c given in units of
+        omega_max, from the segment antiderivatives.
+
+        On a segment [a, b] of width h with density alpha + beta*w,
+
+            integral w^2/(w^2+c^2) = h*ab/(c^2+ab) + c*(u - atan u),
+                 u = c*h/(c^2+ab),
+            integral w^3/(w^2+c^2)
+               = (b^2-a^2)/2 * a^2/(c^2+a^2) + c^2/2 * (v - log1p v),
+                 v = (b^2-a^2)/(c^2+a^2)
+
+        (the atan and log differences of the textbook antiderivatives folded
+        into one argument), so every term is nonnegative.  The differences
+        u - atan u and v - log1p v come from series where they would cancel;
+        elsewhere their cancellation is bounded, or they are small beside the
+        first term.
+        """
+        a, b, pa, pb = self._unit_segments()
+        beta = (pb - pa) / (b - a)
+        alpha = pa - beta * a
+        h, ab, a2 = b - a, a * b, a * a
+        sq_diff = h * (a + b)
+        c = np.maximum(offsets, _OFFSET_FLOOR)[:, None]
+        c2 = c * c
+
+        d = c2 + ab
+        u = c * h / d
+        first = h * (ab / d)
+        j0 = first + c * (u - np.arctan(u))
+        # below c^2 = ab the first term holds at least half of the integral
+        series = (u < _SERIES_BELOW ** 0.5) & (c2 > ab)
+        s = u[series] ** 2
+        j0[series] = first[series] + (c * u)[series] * s * _horner(s, _ATAN_SERIES)
+
+        d = c2 + a2
+        v = sq_diff / d
+        first = sq_diff * (a2 / d)
+        j1 = first + c2 * (v - np.log1p(v))
+        series = (v < _SERIES_BELOW) & (c2 > a2)
+        s = v[series]
+        j1[series] = first[series] + (c2 * v)[series] * s * _horner(s, _LOG_SERIES)
+
+        # the exact averages lie below 1; clip rounding as c -> 0
+        return np.minimum(j0 @ alpha + 0.5 * (j1 @ beta), 1.0)
 
     def scaled(self, s: float) -> "SpectralMeasure":
         """Pushforward under w -> s*w; tabulated densities pick up a 1/s."""
@@ -137,17 +245,6 @@ class SpectralMeasure:
             omega_max=self.omega_max * s,
         )
 
-    def _segments(self) -> Iterable[tuple[float, float, float, float]]:
-        """Yield (a, b, alpha, beta) with density alpha + beta*w on [a, b]."""
-        w, p = self.omegas, self.weights
-        for i in range(len(w) - 1):
-            a, b = float(w[i]), float(w[i + 1])
-            if b == a:
-                continue
-            beta = (float(p[i + 1]) - float(p[i])) / (b - a)
-            alpha = float(p[i]) - beta * a
-            yield a, b, alpha, beta
-
     def describe(self) -> str:
         if self.kind == "einstein":
             return f"einstein(omega={self.omegas[0]:.6g})"
@@ -160,6 +257,13 @@ class SpectralMeasure:
 
 
 # -- constructors ------------------------------------------------------------
+
+
+def _reject(bad: np.ndarray, problem: str, entry) -> None:
+    """Raise a ValidationError naming every flagged entry, if any."""
+    if np.any(bad):
+        entries = ", ".join(entry(i) for i in np.flatnonzero(bad))
+        raise ValidationError(f"{problem}: {entries}")
 
 
 def einstein(omega: float) -> SpectralMeasure:
@@ -181,10 +285,12 @@ def discrete(atoms: Sequence[tuple[float, float]]) -> SpectralMeasure:
         raise ValidationError("discrete measure needs at least one atom")
     weights = np.array([float(w) for w, _ in atoms])
     omegas = np.array([float(o) for _, o in atoms])
-    bad = [i for i, (w, o) in enumerate(zip(weights, omegas)) if w < 0.0 or o <= 0.0]
-    if bad:
-        entries = ", ".join(f"#{i}=(w={weights[i]}, omega={omegas[i]})" for i in bad)
-        raise ValidationError(f"nonpositive frequency or negative weight: {entries}")
+
+    def entry(i):
+        return f"#{i}=(w={weights[i]}, omega={omegas[i]})"
+
+    _reject(~(np.isfinite(weights) & np.isfinite(omegas)), "non-finite weight or frequency", entry)
+    _reject((weights < 0.0) | (omegas <= 0.0), "nonpositive frequency or negative weight", entry)
     mass = float(np.sum(weights))
     if abs(mass - 1.0) > _MASS_REJECT:
         raise ValidationError(f"measure mass {mass:.6g} deviates from 1 by more than {_MASS_REJECT}")
@@ -210,12 +316,14 @@ def tabulated(nodes: Sequence[tuple[float, float]]) -> SpectralMeasure:
         raise ValidationError("tabulated measure needs at least two nodes")
     omegas = np.array([float(o) for o, _ in nodes])
     dens = np.array([float(p) for _, p in nodes])
+
+    def entry(i):
+        return f"#{i}=({omegas[i]}, {dens[i]})"
+
+    _reject(~(np.isfinite(omegas) & np.isfinite(dens)), "non-finite frequency or density", entry)
     if np.any(np.diff(omegas) <= 0.0):
         raise ValidationError("tabulated nodes must have strictly increasing omega")
-    bad = [i for i in range(len(nodes)) if omegas[i] < 0.0 or dens[i] < 0.0]
-    if bad:
-        entries = ", ".join(f"#{i}=({omegas[i]}, {dens[i]})" for i in bad)
-        raise ValidationError(f"negative frequency or density: {entries}")
+    _reject((omegas < 0.0) | (dens < 0.0), "negative frequency or density", entry)
     if omegas[0] == 0.0 and dens[0] != 0.0:
         raise ValidationError("density at omega = 0 must vanish")
     mass = float(np.trapezoid(dens, omegas))

@@ -25,7 +25,7 @@ class Tolerances:
     eig_residual: float = 1e-10     # ||M v - lambda v|| <= eig_residual * (1 + |lambda|)
     power_tol: float = 1e-12        # relative error of the spectral-radius estimate
     power_max_iter: int = 100_000
-    quad_tol: float = 1e-10         # relative error of adaptive quadrature
+    quad_tol: float = 1e-10         # adaptive quadrature (derivative-identity check only)
     bisect_tol: float = 1e-12       # bracket width relative to the initial interval
 
 

@@ -366,7 +366,9 @@ def dk_dT2_identity_check(m: SpectralMeasure, t: float) -> DerivativeCheck:
         )
     else:
         acc = 0.0
-        for a, b, alpha, beta in m._segments():
+        for a, b, pa, pb in m.segments.T.tolist():
+            beta = (pb - pa) / (b - a)
+            alpha = pa - beta * a
             acc += integrate_adaptive(
                 lambda w: (alpha + beta * w) * float(_deriv_closed_integrand(np.array([w]), s)[0]),
                 a,

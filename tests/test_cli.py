@@ -5,6 +5,8 @@ import pytest
 
 from eliashberg_tc import cli, gamma_model, stability
 
+NAN, INF = float("nan"), float("inf")
+
 
 @pytest.fixture
 def einstein_file(tmp_path):
@@ -53,6 +55,27 @@ class TestBoundsCommand:
 
     def test_bad_temperature_exit_two(self, einstein_file, capsys):
         assert cli.main(["bounds", einstein_file, "--temperature", "-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "description, named",
+        [
+            ({"type": "tabulated", "nodes": [[0.0, 0.0], [0.5, NAN], [1.0, 0.0]]}, "#1"),
+            ({"type": "tabulated", "nodes": [[0.0, 0.0], [NAN, 2.0], [1.0, 0.0]]}, "#1"),
+            ({"type": "discrete", "atoms": [{"weight": 0.5, "omega": 1.0},
+                                            {"weight": NAN, "omega": 2.0}]}, "#1"),
+            ({"type": "discrete", "atoms": [{"weight": 0.5, "omega": NAN},
+                                            {"weight": 0.5, "omega": 2.0}]}, "#0"),
+            ({"type": "discrete", "atoms": [{"weight": 0.5, "omega": 1.0},
+                                            {"weight": 0.5, "omega": INF}]}, "#1"),
+        ],
+        ids=["nan-density", "nan-node", "nan-weight", "nan-omega", "inf-omega"],
+    )
+    def test_non_finite_measure_exit_two(self, tmp_path, capsys, description, named):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(description), encoding="utf-8")  # NaN / Infinity literals
+        assert cli.main(["bounds", str(path), "--temperature", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error: non-finite" in err and f"{named}=" in err
 
     def test_missing_file_exit_four(self, capsys):
         assert cli.main(["bounds", "/no/such/file.json", "--temperature", "0.2"]) == 4
