@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .gamma_model import expected_gamma, g_top
 from .measure import SpectralMeasure
-from .numerics import riemann_zeta
+from .numerics import check_scalar, riemann_zeta
 from . import stability
 
 #: rank of the gamma-family truncation used for the conjectured bound; the
@@ -52,8 +52,7 @@ def bound_constants(epsilon: float = 0.65) -> BoundConstants:
 
 def _varpi_squared(m: SpectralMeasure, t: float) -> float:
     """Second moment of the dimensionless frequency w / (2 pi T)."""
-    if not t > 0.0:
-        raise ValidationError(f"temperature must be positive, got {t}")
+    check_scalar("temperature", t)
     return m.moment(2) / (2.0 * math.pi * t) ** 2
 
 
@@ -79,8 +78,7 @@ def tc_sharp(m: SpectralMeasure, lam: float) -> float:
     The tests verify the defining identity itself rather than a particular
     algebraic rearrangement of it.
     """
-    if not lam > 0.0:
-        raise ValidationError(f"coupling must be positive, got {lam}")
+    check_scalar("coupling", lam)
     b = bound_constants().b
     core = lam * (1.0 + b) - 1.0
     inv_v = 0.5 * (core + math.sqrt(core * core + 4.0 * b * lam))
@@ -90,8 +88,7 @@ def tc_sharp(m: SpectralMeasure, lam: float) -> float:
 def tc_flat(m: SpectralMeasure, lam: float):
     """Rigorous lower bound on the critical temperature, defined for
     couplings above the support-edge threshold; ``None`` below it."""
-    if not lam > 0.0:
-        raise ValidationError(f"coupling must be positive, got {lam}")
+    check_scalar("coupling", lam)
     gap = lam * m.moment(2) - m.omega_max ** 2
     if gap <= 0.0:
         return None
@@ -103,8 +100,7 @@ def tc_tilde(m: SpectralMeasure, lam: float) -> float:
     sharp at strong coupling: (1/2 pi) sqrt(g2 <w^2> lam) with g2 the
     strong-coupling spectral constant.  Never rigorous at finite coupling,
     and never used as a bracket endpoint on the rigorous side."""
-    if not lam > 0.0:
-        raise ValidationError(f"coupling must be positive, got {lam}")
+    check_scalar("coupling", lam)
     g2 = g_top(2.0, GAMMA_LIMIT_RANK).value
     return math.sqrt(g2 * m.moment(2) * lam) / (2.0 * math.pi)
 
@@ -138,8 +134,7 @@ def tc_asymptotic(m: SpectralMeasure, lam: float, n: int) -> float:
     the second and fourth moments of the measure.  Tends to
     (1/2 pi) sqrt(g_N(2) <w^2> lam) from below as the coupling grows.
     """
-    if not lam > 0.0:
-        raise ValidationError(f"coupling must be positive, got {lam}")
+    check_scalar("coupling", lam)
     g2 = g_top(2.0, n).value
     g4_exp = expected_gamma(4.0, 2.0, n)
     w2 = m.moment(2)
@@ -151,4 +146,6 @@ def tc_asymptotic(m: SpectralMeasure, lam: float, n: int) -> float:
             f"coupling {lam:.6g} below the asymptotic-inverse threshold {threshold:.6g}"
         )
     denom = 2.0 * math.pi ** 2 * (g2 * w2 / (g4_exp * w4)) * (1.0 - math.sqrt(arg))
+    if not denom > 0.0:  # arg rounded to one
+        raise NumericalError(f"coupling {lam:.6g} too strong for the asymptotic inverse")
     return 1.0 / math.sqrt(denom)

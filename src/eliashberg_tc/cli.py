@@ -22,7 +22,8 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import bounds, gamma_model, measure, stability, tc_solver, verify
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
+from .numerics import check_rank, check_scalar
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -152,10 +153,13 @@ def write_sweep(
     converge_tol: Optional[float] = None,
 ) -> None:
     """Write the coupling-sweep CSV to ``stream`` (deterministic bytes)."""
-    if not (0.0 < lambda_min < lambda_max):
-        raise ValidationError("need 0 < lambda-min < lambda-max")
-    if points < 2:
-        raise ValidationError("need at least two sweep points")
+    check_scalar("lambda-min", lambda_min)
+    check_scalar("lambda-max", lambda_max)
+    if not lambda_min < lambda_max:
+        raise ValidationError("need lambda-min < lambda-max")
+    check_rank("points", points, 2)
+    if converge_tol is not None:
+        check_scalar("tolerance", converge_tol)
     header = ["lambda", "tc_flat", "tc_sharp", "tc_tilde", "tc_n4", "tc_converged"]
     if inverse_sqrt_x:
         header += ["inv_sqrt_lambda", "y_tc_flat", "y_tc_sharp", "y_tc_tilde",
@@ -282,7 +286,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except ArithmeticError as exc:  # NumericalError, or a float overflow in a printed value
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import stability
 from .errors import ValidationError
-from .numerics import EigenPair, sym_eig_top
+from .numerics import EigenPair, check_rank, check_scalar, sym_eig_top
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,8 @@ def _gamma_kernel(gamma: float, n: int) -> np.ndarray:
 
 def assemble_gamma(gamma: float, n: int) -> GammaOperator:
     """Assemble the N x N truncation for exponent ``gamma > 0``."""
-    if not gamma > 0.0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
-    if n < 1:
-        raise ValidationError(f"order must be >= 1, got {n}")
+    check_scalar("gamma", gamma)
+    check_rank("order", n)
     matrix = stability.truncation(_gamma_kernel(gamma, n), n)
     return GammaOperator(gamma=float(gamma), order=int(n), matrix=matrix)
 
@@ -63,18 +61,17 @@ def g_top(gamma: float, n: int) -> EigenPair:
     eigenvector is componentwise positive.  Results are memoized: they are
     measure-independent and reused heavily by the bound evaluations.
     """
-    if not gamma > 0.0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
+    check_scalar("gamma", gamma)
+    check_rank("order", n)
     return _top_pair(float(gamma), int(n))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: a call with n=4.0 must not hit the n=4 entry
 def expected_gamma(gamma_prime: float, gamma: float, n: int) -> float:
     """Expectation of the gamma_prime truncation in the top eigenvector of
     the gamma truncation (a Rayleigh quotient, so normalization of the
     eigenvector is irrelevant).  Strictly positive."""
-    if not gamma_prime > 0.0:
-        raise ValidationError(f"gamma_prime must be positive, got {gamma_prime}")
+    check_scalar("gamma_prime", gamma_prime)
     vec = g_top(gamma, n).vector
     mat = assemble_gamma(gamma_prime, n).matrix
     return float(vec @ mat @ vec)

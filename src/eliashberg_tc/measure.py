@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .numerics import check_rank, check_scalar
 
 _MASS_REJECT = 1e-3  # |mass - 1| beyond this is rejected rather than rescaled
 
@@ -114,6 +115,9 @@ class SpectralMeasure:
     _even_moments: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_scalar("highest frequency", self.omega_max)
+        if self.kind != "tabulated":  # density nodes may start at zero
+            check_scalar("lowest frequency", self.omegas[0])
         self.omegas.setflags(write=False)
         self.weights.setflags(write=False)
         table = moments = None
@@ -136,8 +140,7 @@ class SpectralMeasure:
 
     def moment(self, k: int) -> float:
         """k-th moment <w^k> of the measure, exact up to rounding."""
-        if k < 0:
-            raise ValidationError("moment order must be nonnegative")
+        check_rank("moment order", k, 0)
         if self.kind in ("einstein", "discrete"):
             return float(np.sum(self.weights * self.omegas ** k))
         return float(_moments(self.segments, k)[k])
@@ -146,10 +149,8 @@ class SpectralMeasure:
 
     def kernel_average(self, n: int, t: float) -> KernelAverage:
         """The average <<n>> at Matsubara index difference ``n``."""
-        if n < 1:
-            raise ValidationError("Matsubara index must be >= 1")
-        if not t > 0.0:
-            raise ValidationError(f"temperature must be positive, got {t}")
+        check_rank("Matsubara index", n)
+        check_scalar("temperature", t)
         value = float(self.kernel_values(t, n)[n])
         return KernelAverage(n=n, temperature=t, value=value)
 
@@ -158,10 +159,10 @@ class SpectralMeasure:
 
         The zero at index 0 encodes the convention that the same-site
         exchange kernel vanishes, so matrix assembly can index differences
-        |n - m| directly.
+        |n - m| directly.  Any finite positive ``t`` is accepted here, also
+        outside the band of :func:`eliashberg_tc.numerics.check_scalar`.
         """
-        if not t > 0.0:
-            raise ValidationError(f"temperature must be positive, got {t}")
+        check_scalar("temperature", t, banded=False)
         ns = np.arange(count + 1, dtype=float)
         c = 2.0 * np.pi * t * ns  # frequency offsets, c[0] unused
         out = np.zeros(count + 1, dtype=float)
@@ -229,8 +230,7 @@ class SpectralMeasure:
 
     def scaled(self, s: float) -> "SpectralMeasure":
         """Pushforward under w -> s*w; tabulated densities pick up a 1/s."""
-        if not s > 0.0:
-            raise ValidationError("scale must be positive")
+        check_scalar("scale", s)
         if self.kind == "tabulated":
             return SpectralMeasure(
                 kind=self.kind,
@@ -268,13 +268,9 @@ def _reject(bad: np.ndarray, problem: str, entry) -> None:
 
 def einstein(omega: float) -> SpectralMeasure:
     """Single Dirac atom at ``omega`` (non-dispersive phonons)."""
-    if not (np.isfinite(omega) and omega > 0.0):
-        raise ValidationError(f"einstein frequency must be positive, got {omega}")
+    omega = check_scalar("einstein frequency", omega)
     return SpectralMeasure(
-        kind="einstein",
-        omegas=np.array([float(omega)]),
-        weights=np.array([1.0]),
-        omega_max=float(omega),
+        kind="einstein", omegas=np.array([omega]), weights=np.array([1.0]), omega_max=omega
     )
 
 
@@ -359,12 +355,24 @@ def validate(raw) -> SpectralMeasure:
     raise ValidationError(f"cannot interpret {type(raw).__name__} as a measure")
 
 
+def _number(value, field: str) -> float:
+    """A JSON number (int or float, not a bool) from a measure description."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ValidationError(f"non-finite or non-numeric field: {field}={value!r}")
+
+
 def from_dict(data: dict) -> SpectralMeasure:
     """Measure-file schema: one of
 
     ``{"type": "einstein", "omega": 1.0}``
     ``{"type": "discrete", "atoms": [{"weight": 0.5, "omega": 0.8}, ...]}``
     ``{"type": "tabulated", "nodes": [[0.0, 0.0], [0.5, 1.6], ...]}``
+
+    with JSON ints or floats as numbers; anything else is rejected, naming the field.
     """
     try:
         kind = data["type"]
@@ -373,7 +381,7 @@ def from_dict(data: dict) -> SpectralMeasure:
     if kind == "einstein":
         if "omega" not in data:
             raise ValidationError("einstein measure needs an 'omega' field")
-        return einstein(data["omega"])
+        return einstein(_number(data["omega"], "omega"))
     if kind == "discrete":
         atoms = data.get("atoms")
         if not isinstance(atoms, list) or not atoms:
@@ -382,16 +390,18 @@ def from_dict(data: dict) -> SpectralMeasure:
             pairs = [(a["weight"], a["omega"]) for a in atoms]
         except (KeyError, TypeError):
             raise ValidationError("each atom needs 'weight' and 'omega'") from None
-        return discrete(pairs)
+        return discrete([(_number(w, f"atoms[{i}].weight"), _number(o, f"atoms[{i}].omega"))
+                         for i, (w, o) in enumerate(pairs)])
     if kind == "tabulated":
         nodes = data.get("nodes")
         if not isinstance(nodes, list) or len(nodes) < 2:
             raise ValidationError("tabulated measure needs a 'nodes' list of pairs")
         try:
-            pairs = [(float(n[0]), float(n[1])) for n in nodes]
-        except (TypeError, ValueError, IndexError):
+            pairs = [(n[0], n[1]) for n in nodes]
+        except (LookupError, TypeError):
             raise ValidationError("tabulated nodes must be [omega, density] pairs") from None
-        return tabulated(pairs)
+        return tabulated([(_number(o, f"nodes[{i}][0]"), _number(p, f"nodes[{i}][1]"))
+                          for i, (o, p) in enumerate(pairs)])
     raise ValidationError(f"unknown measure type {kind!r}")
 
 

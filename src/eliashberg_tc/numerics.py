@@ -1,15 +1,18 @@
-"""Shared numerical kernels.
+"""Shared numerical kernels and the input domain.
 
 Dense symmetric top-eigenpair extraction, positive-cone power iteration,
 Riemann zeta evaluation, adaptive quadrature, and monotone bisection.  All
 routines are pure functions of their arguments and safe to call
 concurrently.  Accuracy contracts (not algorithms) are the interface; the
 defaults live in one configuration record so every tolerance used anywhere
-in the package is visible in a single place.
+in the package is visible in a single place, and so is the input domain.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +33,41 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# The input domain, checked by check_scalar and check_rank only.  Every
+# temperature, frequency, coupling, exponent, scale and tolerance lies in
+# [MIN_MAGNITUDE, MAX_MAGNITUDE].  Single inputs overflow only near 1e150, but
+# inputs combine: any two in the band give a dimensionless frequency
+# w/(2 pi T) within 1e+-60, and the largest product, g^2 <w^2>^2 lam in the
+# asymptotic inverse, stays below 1e152.
+MIN_MAGNITUDE, MAX_MAGNITUDE = 1e-30, 1e30
+# Largest rank, order or count: one dense MAX_RANK x MAX_RANK float64 matrix
+# takes 8 * 4096^2 bytes = 128 MiB, and assembly holds a few at once.
+MAX_RANK = 4096
+
+
+def check_scalar(name: str, value, banded: bool = True) -> float:
+    """``value`` as a float if it is a real number in [MIN_MAGNITUDE,
+    MAX_MAGNITUDE], or finite and positive when not ``banded``."""
+    if isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        x = float(value)
+        if 0.0 < x < math.inf and (not banded or MIN_MAGNITUDE <= x <= MAX_MAGNITUDE):
+            return x
+    what = (f"a real number in [{MIN_MAGNITUDE:g}, {MAX_MAGNITUDE:g}]" if banded
+            else "finite and positive")
+    raise ValidationError(f"{name} must be {what}, got {value!r}")
+
+
+def check_rank(name: str, value, lo: int = 1, hi: int = MAX_RANK) -> int:
+    """``value`` as an int if it is an integer in [lo, hi]: NumPy integers
+    pass, 2.5, 4.0 and True do not."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or not lo <= n <= hi:
+        raise ValidationError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -103,8 +141,7 @@ def power_iteration_positive(
     spectral radius of a primitive nonnegative operator from below and
     above at every step.
     """
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    check_scalar("tolerance", tol)
     x = np.ones(n, dtype=float)
     lo, hi = 0.0, np.inf
     for iteration in range(1, max_iter + 1):

@@ -27,13 +27,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError
 from .measure import SpectralMeasure
-from .numerics import DEFAULT_TOL, integrate_adaptive, power_iteration_positive, sym_eig_top
+from .numerics import DEFAULT_TOL, check_rank, check_scalar, integrate_adaptive
+from .numerics import power_iteration_positive, sym_eig_top
 
 # Kernel averages become limit-degenerate once every dimensionless frequency
 # exceeds this; the zero-temperature limit matrix is exact there to double
@@ -58,12 +59,13 @@ class EliashbergOperator:
 
 @dataclass(frozen=True)
 class KBound:
-    """Top eigenvalue of a rank-N truncation and the coupling bound 1/k."""
+    """Top eigenvalue of a rank-N truncation, the coupling bound 1/k, and the
+    positive unit top eigenvector (eigensolver route; None for closed forms)."""
 
     n: int
     k_value: float
     lambda_upper: float
-    eigvec: np.ndarray
+    eigvec: Optional[np.ndarray]
 
 
 class ZeroTemperatureLimit(NamedTuple):
@@ -100,10 +102,8 @@ def assemble_k(m: SpectralMeasure, t: float, n: int) -> EliashbergOperator:
     every matrix entry is a combination of them.  Symmetry is exact by
     construction.
     """
-    if n < 1:
-        raise ValidationError(f"order must be >= 1, got {n}")
-    if not t > 0.0:
-        raise ValidationError(f"temperature must be positive, got {t}")
+    check_rank("order", n)
+    check_scalar("temperature", t)
     min_omega = float(np.min(m.omegas[m.weights > 0])) if m.kind != "tabulated" else float(m.omegas[0])
     if min_omega > 0.0 and min_omega / t > _WMAX_OVER_T_LIMIT:
         # zero-temperature limit: every average is one, so the truncation
@@ -117,34 +117,6 @@ def assemble_k(m: SpectralMeasure, t: float, n: int) -> EliashbergOperator:
     )
 
 
-def _positive_eigvec(matrix: np.ndarray, eigenvalue: float) -> np.ndarray:
-    """Eigenvector for a known top eigenvalue, by inverse iteration with a
-    scale-proportional regularizing offset; sign-fixed into the positive
-    cone (the top eigenvector of these truncations is strictly positive)."""
-    n = matrix.shape[0]
-    if n == 1:
-        return np.array([1.0])
-    scale = max(abs(eigenvalue), float(np.max(np.abs(matrix))), 1e-300)
-    shifted = matrix - (eigenvalue + 1e-9 * scale) * np.eye(n)
-    x = np.ones(n) / math.sqrt(n)
-    for _ in range(4):
-        try:
-            y = np.linalg.solve(shifted, x)
-        except np.linalg.LinAlgError:
-            y, *_ = np.linalg.lstsq(shifted, x, rcond=None)
-        norm = np.linalg.norm(y)
-        if norm == 0.0 or not np.all(np.isfinite(y)):
-            break
-        x = y / norm
-        if np.linalg.norm(matrix @ x - eigenvalue * x) <= 1e-12 * scale:
-            break
-    if np.linalg.norm(matrix @ x - eigenvalue * x) > 1e-9 * scale:
-        raise NumericalError("inverse iteration failed to pin the top eigenvector")
-    if x[int(np.argmax(np.abs(x)))] < 0.0:
-        x = -x
-    return x
-
-
 def k_numeric(m: SpectralMeasure, t: float, n: int) -> KBound:
     """Top eigenvalue of the rank-N truncation by dense eigensolve.
 
@@ -155,7 +127,7 @@ def k_numeric(m: SpectralMeasure, t: float, n: int) -> KBound:
     return KBound(n=n, k_value=pair.value, lambda_upper=1.0 / pair.value, eigvec=pair.vector)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: k_limit_T0(True) must not hit the rank-1 entry
 def k_limit_T0(n: int) -> ZeroTemperatureLimit:
     """Measure-independent zero-temperature limit of the rank-N eigenvalue:
     k0 = -1 + 2 * sum_{k=0}^{N-1} 1/(2k+1), and the coupling floor 1/k0.
@@ -164,8 +136,7 @@ def k_limit_T0(n: int) -> ZeroTemperatureLimit:
     come out as the exact fractions (5/3 and 3/5 at rank two, 247/105 at
     rank four).
     """
-    if n < 1:
-        raise ValidationError(f"order must be >= 1, got {n}")
+    check_rank("order", n)
     k0 = Fraction(-1) + 2 * sum(Fraction(1, 2 * k + 1) for k in range(n))
     return ZeroTemperatureLimit(k0=float(k0), lambda_floor=float(1 / k0))
 
@@ -245,26 +216,29 @@ def k_closed_form(m: SpectralMeasure, t: float, n: int) -> KBound:
     The rank-four resolvent degenerates in double precision once the lower
     eigenvalues cluster toward the zero-temperature limit (dimensionless
     frequency beyond roughly 5e2); it then raises a named numerical error
-    rather than returning a noise-dominated root.  Ranks one to three are
-    stable at every temperature, as is the eigensolver route.
+    rather than returning a noise-dominated root.  At the hot end (omega/T
+    below about 1e-12 at rank four, 1e-24 at rank three) the formulas under-
+    or overflow and raise a named numerical error as well.  The eigensolver
+    route is stable at every temperature.
     """
-    if n not in (1, 2, 3, 4):
-        raise ValidationError(f"closed forms exist for ranks 1..4 only, got {n}")
-    op = assemble_k(m, t, n)
-    mat = op.matrix
-    if n == 1:
-        value = float(mat[0, 0])
-        return KBound(n=1, k_value=value, lambda_upper=1.0 / value, eigvec=np.array([1.0]))
-    if n == 2:
-        tr = float(mat[0, 0] + mat[1, 1])
-        det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-        value = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
-    elif n == 3:
-        value = _top_root_rank3(mat)
-    else:
-        value = _top_root_rank4(mat)
-    vec = _positive_eigvec(mat, value)
-    return KBound(n=n, k_value=value, lambda_upper=1.0 / value, eigvec=vec)
+    check_rank("closed-form rank", n, 1, 4)
+    mat = assemble_k(m, t, n).matrix
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            if n == 1:
+                value = float(mat[0, 0])
+            elif n == 2:
+                tr = float(mat[0, 0] + mat[1, 1])
+                det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
+                value = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
+            elif n == 3:
+                value = _top_root_rank3(mat)
+            else:
+                value = _top_root_rank4(mat)
+            return KBound(n=n, k_value=value, lambda_upper=1.0 / value, eigvec=None)
+    except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+        raise NumericalError(f"rank-{n} closed form fails in double precision at "
+                             f"temperature {t:.6g} ({exc}); use the eigensolver route") from exc
 
 
 def lambda2_closed(m: SpectralMeasure, t: float) -> float:
@@ -272,6 +246,7 @@ def lambda2_closed(m: SpectralMeasure, t: float) -> float:
 
         6 / ( <<1>+<3>> + sqrt( <<1>+<3>>^2 + 12 (<<1>+<2>>^2 + <<1>>(2<<1>>-<<3>>)) ) ).
     """
+    check_scalar("temperature", t)
     kv = m.kernel_values(t, 3)
     s13 = kv[1] + kv[3]
     s12 = kv[1] + kv[2]
@@ -296,8 +271,7 @@ def c_spectral_radius(
     stable side lam < 1/k_N, equals 1 at the threshold, and exceeds 1 beyond
     it.  Evaluated by positive-cone power iteration.
     """
-    if not lam > 0.0:
-        raise ValidationError(f"coupling must be positive, got {lam}")
+    check_scalar("coupling", lam)
     exchange, drag = split_operator(assemble_k(m, t, n).kernel, n)
     resolvent = 1.0 / (1.0 / lam + drag)
 
@@ -350,8 +324,7 @@ def dk_dT2_identity_check(m: SpectralMeasure, t: float) -> DerivativeCheck:
     temperature.  The chain-rule factor between d/d(T^2) and the squared
     Matsubara offset s = 4 pi^2 T^2 is included explicitly.
     """
-    if not t > 0.0:
-        raise ValidationError(f"temperature must be positive, got {t}")
+    check_scalar("temperature", t)
     u = t * t
     h = 1e-5 * u
     fd = (_deriv_combination(m, math.sqrt(u + h)) - _deriv_combination(m, math.sqrt(u - h))) / (

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bounds, stability
-from .errors import BracketError, NumericalError, ValidationError
+from .errors import NumericalError
 from .measure import SpectralMeasure
-from .numerics import bisect_monotone
+from .numerics import bisect_monotone, check_rank, check_scalar
 
 STATUS_PROVEN = "proven"
 STATUS_HEURISTIC = "heuristic"
@@ -58,15 +58,6 @@ def t_star(m: SpectralMeasure) -> float:
     return bounds.t_star_threshold(m)
 
 
-def _k_of_u(m: SpectralMeasure, n: int):
-    """Rank-N stability eigenvalue as a function of u = T^2."""
-
-    def f(u: float) -> float:
-        return stability.k_numeric(m, math.sqrt(u), n).k_value
-
-    return f
-
-
 def tc_n(m: SpectralMeasure, lam: float, n: int) -> LadderEntry:
     """Rank-N lower bound on the critical temperature at coupling ``lam``.
 
@@ -75,10 +66,8 @@ def tc_n(m: SpectralMeasure, lam: float, n: int) -> LadderEntry:
     threshold, ``heuristic`` for higher ranks below it, and ``undefined``
     when the coupling does not exceed the zero-temperature floor.
     """
-    if not lam > 0.0:
-        raise ValidationError(f"coupling must be positive, got {lam}")
-    if n < 1:
-        raise ValidationError(f"rank must be >= 1, got {n}")
+    check_scalar("coupling", lam)
+    check_rank("order", n)
     floor = stability.k_limit_T0(n).lambda_floor
     if lam <= floor:
         return LadderEntry(n=n, value=None, status=STATUS_UNDEFINED)
@@ -93,7 +82,10 @@ def tc_n(m: SpectralMeasure, lam: float, n: int) -> LadderEntry:
     t_hi = 2.0 * bounds.tc_sharp(m, lam)
     flat = bounds.tc_flat(m, lam)
     t_lo = 0.5 * flat if flat is not None else 1e-6 * t_hi
-    f = _k_of_u(m, n)
+
+    def f(u: float) -> float:  # the rank-N eigenvalue as a function of u = T^2
+        return stability.k_numeric(m, math.sqrt(u), n).k_value
+
     u_lo, u_hi = t_lo * t_lo, t_hi * t_hi
 
     # k decreases from its zero-temperature limit (> target) to zero, so a
@@ -116,10 +108,7 @@ def tc_n(m: SpectralMeasure, lam: float, n: int) -> LadderEntry:
                 f"no upper bracket for rank {n} at coupling {lam:.6g}: "
                 f"k({math.sqrt(u_hi):.3e}) = {f(u_hi):.6g} > 1/lam = {target:.6g}"
             )
-    try:
-        u = bisect_monotone(f, u_lo, u_hi, target)
-    except BracketError as exc:  # pragma: no cover - guarded above
-        raise NumericalError(f"bisection bracket failed: {exc}") from exc
+    u = bisect_monotone(f, u_lo, u_hi, target)  # bracketed above
     value = math.sqrt(u)
     if n <= 2 or value >= t_star(m):
         status = STATUS_PROVEN
@@ -141,28 +130,18 @@ def tc_converged(
     reached first).  The converged value is a lower bound on the true
     critical temperature like every ladder entry.
     """
-    if not tol > 0.0:
-        raise ValidationError("tolerance must be positive")
+    check_scalar("tolerance", tol)
+    check_rank("rank cap", n_cap)
     ladder: list[LadderEntry] = []
-    converged_tc: Optional[float] = None
-    converged_n: Optional[int] = None
-    previous: Optional[LadderEntry] = None
     n = 4
     while n <= n_cap:
         entry = tc_n(m, lam, n)
+        previous = ladder[-1].value if ladder else None
         ladder.append(entry)
-        if (
-            previous is not None
-            and previous.value is not None
-            and entry.value is not None
-            and abs(entry.value - previous.value) <= tol * entry.value
-        ):
-            converged_tc = entry.value
-            converged_n = entry.n
-            break
-        previous = entry
+        if None not in (previous, entry.value) and abs(entry.value - previous) <= tol * entry.value:
+            return tc_report(m, lam, ladder, entry.value, entry.n, tol)
         n *= 2
-    return tc_report(m, lam, ladder, converged_tc, converged_n, tol)
+    return tc_report(m, lam, ladder, None, None, tol)
 
 
 def tc_report(

@@ -67,8 +67,14 @@ class TestBoundsCommand:
                                             {"weight": 0.5, "omega": 2.0}]}, "#0"),
             ({"type": "discrete", "atoms": [{"weight": 0.5, "omega": 1.0},
                                             {"weight": 0.5, "omega": INF}]}, "#1"),
+            ({"type": "einstein", "omega": "1.0"}, "omega"),
+            ({"type": "einstein", "omega": None}, "omega"),
+            ({"type": "discrete", "atoms": [{"weight": "abc", "omega": 1.0}]}, "atoms[0].weight"),
+            ({"type": "einstein", "omega": [1.0]}, "omega"),
+            ({"type": "discrete", "atoms": [{"weight": True, "omega": 1.0}]}, "atoms[0].weight"),
         ],
-        ids=["nan-density", "nan-node", "nan-weight", "nan-omega", "inf-omega"],
+        ids=["nan-density", "nan-node", "nan-weight", "nan-omega", "inf-omega",
+             "string-omega", "null-omega", "string-weight", "list-omega", "bool-weight"],
     )
     def test_non_finite_measure_exit_two(self, tmp_path, capsys, description, named):
         path = tmp_path / "m.json"

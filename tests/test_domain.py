@@ -1,0 +1,235 @@
+"""The input domain: one validator for every temperature, frequency,
+coupling, exponent, scale, tolerance, rank and order, regression cases for
+inputs that escaped it, and a property over the public entry points."""
+
+import dataclasses
+import inspect
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eliashberg_tc import bounds, cli, gamma_model, measure, stability, tc_solver
+from eliashberg_tc.errors import NumericalError, ValidationError
+from eliashberg_tc.numerics import MAX_MAGNITUDE, MAX_RANK, MIN_MAGNITUDE, check_rank, check_scalar
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestValidator:
+    @pytest.mark.parametrize("value", [MIN_MAGNITUDE, 1.0, MAX_MAGNITUDE, 3, np.float64(0.5)])
+    def test_scalar_accepted(self, value):
+        assert check_scalar("x", value) == float(value)
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, NAN, INF, -INF, 1e300, 1e-300, 0.5 * MIN_MAGNITUDE,
+                  2.0 * MAX_MAGNITUDE, True, "1.0", None],
+    )
+    def test_scalar_rejected(self, value):
+        with pytest.raises(ValidationError, match="^x must be"):
+            check_scalar("x", value)
+
+    def test_unbanded_scalar(self):
+        assert check_scalar("x", 1e-300, banded=False) == 1e-300
+        assert check_scalar("x", 1e300, banded=False) == 1e300
+        for value in (0.0, INF, NAN):
+            with pytest.raises(ValidationError, match="finite and positive"):
+                check_scalar("x", value, banded=False)
+
+    @pytest.mark.parametrize("value", [1, 4, np.int64(7), MAX_RANK])
+    def test_rank_accepted(self, value):
+        assert check_rank("n", value) == int(value)
+        assert type(check_rank("n", value)) is int
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 4.0, True, False, "4", None, MAX_RANK + 1])
+    def test_rank_rejected(self, value):
+        with pytest.raises(ValidationError, match="^n must be an integer in"):
+            check_rank("n", value)
+
+    def test_rank_bounds(self):
+        assert check_rank("k", 0, 0) == 0
+        with pytest.raises(ValidationError, match=r"in \[1, 4\], got 5"):
+            check_rank("k", 5, 1, 4)
+
+    def test_rank_cap_admits_the_default_n_cap(self):
+        assert MAX_RANK >= inspect.signature(tc_solver.tc_converged).parameters["n_cap"].default
+
+
+class TestLibraryCases:
+    """Inputs that escaped as a raw error, a warning or a silent result."""
+
+    def test_temperature_above_band(self, einstein_unit):
+        with pytest.raises(ValidationError, match="temperature"):
+            stability.k_numeric(einstein_unit, 1e154, 4)
+
+    @pytest.mark.parametrize("omega", [1e-200, 1e160])
+    def test_frequency_outside_band(self, omega):
+        with pytest.raises(ValidationError, match="einstein frequency"):
+            measure.einstein(omega)
+
+    @pytest.mark.parametrize("atoms", [[(1.0, 1e-200)], [(0.5, 1.0), (0.5, 1e160)]])
+    def test_atom_outside_band(self, atoms):
+        with pytest.raises(ValidationError, match="frequency"):
+            measure.discrete(atoms)
+
+    def test_coupling_above_band(self, einstein_unit):
+        with pytest.raises(ValidationError, match="coupling"):
+            tc_solver.tc_n(einstein_unit, 1e160, 4)
+
+    def test_infinite_coupling_asymptotic(self, einstein_unit):
+        with pytest.raises(ValidationError, match="coupling"):
+            bounds.tc_asymptotic(einstein_unit, INF, 4)
+
+    def test_asymptotic_inverse_beyond_double_precision(self, einstein_unit):
+        with pytest.raises(NumericalError, match="asymptotic inverse"):
+            bounds.tc_asymptotic(einstein_unit, 1e17, 4)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, True])
+    def test_non_integer_gamma_order(self, n):
+        with pytest.raises(ValidationError, match="order"):
+            gamma_model.g_top(2.0, n)
+
+    def test_memoized_entry_points_check_types(self):
+        gamma_model.expected_gamma(4.0, 2.0, 4)
+        stability.k_limit_T0(1)
+        with pytest.raises(ValidationError, match="order"):
+            gamma_model.expected_gamma(4.0, 2.0, 4.0)
+        with pytest.raises(ValidationError, match="order"):
+            stability.k_limit_T0(True)
+
+    def test_non_integer_assembly_order(self, einstein_unit):
+        with pytest.raises(ValidationError, match="order"):
+            stability.assemble_k(einstein_unit, 0.1, 2.5)
+
+    def test_non_integer_matsubara_index(self, einstein_unit):
+        with pytest.raises(ValidationError, match="Matsubara index"):
+            einstein_unit.kernel_average(1.5, 0.1)
+
+    def test_infinite_scale(self, einstein_unit):
+        with pytest.raises(ValidationError, match="scale"):
+            einstein_unit.scaled(INF)
+
+    def test_scaled_measure_outside_band(self):
+        with pytest.raises(ValidationError, match="highest frequency"):
+            measure.einstein(1e20).scaled(1e20)
+
+    def test_rank_cap(self, einstein_unit):
+        with pytest.raises(ValidationError, match="order"):
+            stability.k_numeric(einstein_unit, 0.1, MAX_RANK + 1)
+        with pytest.raises(ValidationError, match="rank cap"):
+            tc_solver.tc_converged(einstein_unit, 10.0, n_cap=MAX_RANK + 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_closed_form_hot_end(self, einstein_unit, n):
+        # the closed forms under- or overflow long before the eigensolver does
+        with pytest.raises(NumericalError, match=f"rank-{n} closed form"):
+            stability.k_closed_form(einstein_unit, MAX_MAGNITUDE, n)
+        assert stability.k_numeric(einstein_unit, MAX_MAGNITUDE, n).k_value > 0.0
+
+
+@pytest.fixture
+def atom_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"type":"einstein","omega":1.0}', encoding="utf-8")
+    return str(path)
+
+
+class TestCommandCases:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tc", "{m}", "--coupling", "inf", "--n", "4"],
+            ["tc", "{m}", "--coupling", "1e200", "--n", "4"],
+            ["sweep", "{m}", "--lambda-min", "2", "--lambda-max", "inf", "--points", "3",
+             "--out", "{out}"],
+            ["bounds", "{m}", "--temperature", "inf"],
+            ["gamma", "--gamma", "inf", "--n", "4"],
+            ["tc", "{m}", "--coupling", "10", "--converge", "inf"],
+            ["bounds", "{m}", "--temperature", "0.1", "--max-n", str(MAX_RANK + 1)],
+        ],
+        ids=["tc-inf", "tc-1e200", "sweep-inf", "bounds-inf", "gamma-inf", "converge-inf",
+             "bounds-rank-cap"],
+    )
+    def test_exit_two_with_one_line(self, atom_file, tmp_path, capsys, argv):
+        out = str(tmp_path / "sweep.csv")
+        argv = [arg.format(m=atom_file, out=out) for arg in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("validation error: ")
+
+
+# -- property over the public entry points ------------------------------------
+
+MEASURES = [
+    measure.einstein(1.0),
+    measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
+    measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)]),
+    measure.einstein(MIN_MAGNITUDE),
+    measure.einstein(MAX_MAGNITUDE),
+]
+SCALARS = st.sampled_from([
+    0.05, 0.3, 2.0, 40.0, MIN_MAGNITUDE, MAX_MAGNITUDE,  # valid, band edges included
+    0.0, -1.0, -MAX_MAGNITUDE, NAN, INF, -INF, 1e300, -1e300, 1e-300,
+])
+# Tolerances below machine precision are valid but make power iteration run to
+# its iteration cap (seconds), so the lower band edge is left out here.
+TOLERANCES = st.sampled_from([1e-6, 1e-3, MAX_MAGNITUDE, 0.0, -1e-6, NAN, INF, 1e300, 1e-300])
+# Small valid ranks only: the property must not allocate a large matrix.
+RANKS = st.sampled_from([1, 2, 3, 4, 7, np.int64(5), 0, -2, 2.5, 4.0, True, MAX_RANK + 1])
+
+ENTRY_POINTS = {
+    "kernel_average": (lambda m, n, t: m.kernel_average(n, t), (RANKS, SCALARS)),
+    "assemble_k": (stability.assemble_k, (SCALARS, RANKS)),
+    "k_numeric": (stability.k_numeric, (SCALARS, RANKS)),
+    "k_closed_form": (stability.k_closed_form, (SCALARS, RANKS)),
+    "c_spectral_radius": (stability.c_spectral_radius, (SCALARS, SCALARS, RANKS, TOLERANCES)),
+    "k_star": (bounds.k_star, (SCALARS,)),
+    "k_sharp": (bounds.k_sharp, (SCALARS,)),
+    "tc_sharp": (bounds.tc_sharp, (SCALARS,)),
+    "tc_flat": (bounds.tc_flat, (SCALARS,)),
+    "tc_tilde": (bounds.tc_tilde, (SCALARS,)),
+    "tc_asymptotic": (bounds.tc_asymptotic, (SCALARS, RANKS)),
+    "tc_n": (tc_solver.tc_n, (SCALARS, RANKS)),
+    "tc_converged": (tc_solver.tc_converged, (SCALARS, SCALARS, RANKS)),
+    "g_top": (lambda m, gamma, n: gamma_model.g_top(gamma, n), (SCALARS, RANKS)),
+    "expected_gamma": (lambda m, gp, gamma, n: gamma_model.expected_gamma(gp, gamma, n),
+                       (SCALARS, SCALARS, RANKS)),
+    "scaled": (lambda m, s: m.scaled(s), (SCALARS,)),
+}
+
+
+@st.composite
+def calls(draw):
+    name = draw(st.sampled_from(sorted(ENTRY_POINTS)))
+    func, strategies = ENTRY_POINTS[name]
+    return name, func, draw(st.sampled_from(MEASURES)), [draw(s) for s in strategies]
+
+
+def _numbers(result):
+    """Every number inside a result: floats, arrays, dataclass fields."""
+    if result is None or isinstance(result, str):
+        return []
+    if dataclasses.is_dataclass(result):
+        return [x for f in dataclasses.fields(result) for x in _numbers(getattr(result, f.name))]
+    if isinstance(result, (tuple, list)):
+        return [x for item in result for x in _numbers(item)]
+    if isinstance(result, np.ndarray):
+        return result.ravel().tolist()
+    return [result]
+
+
+@given(calls())
+@settings(max_examples=300, deadline=None)
+def test_entry_points_return_finite_or_raise_the_taxonomy(call):
+    name, func, m, args = call
+    try:
+        result = func(m, *args)
+    except (ValidationError, NumericalError):
+        return
+    values = _numbers(result)
+    assert values or (name == "tc_flat" and result is None), name  # None: undefined
+    assert all(math.isfinite(v) for v in values), (name, args, result)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import mpmath
@@ -129,6 +130,16 @@ class TestValidation:
             m.omegas[0] = 2.0
 
 
+NON_NUMERIC_FIELDS = [
+    ('{"type":"einstein","omega":"1.0"}', "omega"),
+    ('{"type":"einstein","omega":null}', "omega"),
+    ('{"type":"discrete","atoms":[{"weight":"abc","omega":1.0}]}', "atoms[0].weight"),
+    ('{"type":"einstein","omega":[1.0]}', "omega"),
+    ('{"type":"discrete","atoms":[{"weight":true,"omega":1.0}]}', "atoms[0].weight"),
+    ('{"type":"tabulated","nodes":[[0.0,0.0],["0.5",2.0],[1.0,0.0]]}', "nodes[1][0]"),
+]
+
+
 class TestFileFormat:
     def test_einstein_shape(self):
         m = measure.from_json('{"type":"einstein","omega":1.0}')
@@ -158,6 +169,10 @@ class TestFileFormat:
             measure.from_json('{"type":"unknown"}')
         with pytest.raises(ValidationError):
             measure.from_json('{"omega": 1.0}')
+        # non-numeric fields, named in the message
+        for text, field in NON_NUMERIC_FIELDS:
+            with pytest.raises(ValidationError, match=re.escape(f"{field}=")):
+                measure.from_json(text)
 
     def test_validate_passthrough_and_dict(self):
         m = measure.einstein(1.0)

@@ -147,12 +147,6 @@ class TestClosedForms:
         got = stability.k_numeric(m, t, 4).k_value
         assert got == pytest.approx(stability.k_limit_T0(4).k0, abs=1e-6)
 
-    def test_eigvec_positive(self):
-        m, t = varpi_atom(1.0)
-        for n in (2, 3, 4):
-            vec = stability.k_closed_form(m, t, n).eigvec
-            assert np.all(vec > 0.0)
-
 
 class TestNumericEigenvalue:
     def test_matches_closed_forms(self, two_atoms):
