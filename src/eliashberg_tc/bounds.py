@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .gamma_model import expected_gamma, g_top
 from .measure import SpectralMeasure
 from .numerics import check_scalar, riemann_zeta
@@ -145,7 +145,6 @@ def tc_asymptotic(m: SpectralMeasure, lam: float, n: int) -> float:
         raise ValidationError(
             f"coupling {lam:.6g} below the asymptotic-inverse threshold {threshold:.6g}"
         )
-    denom = 2.0 * math.pi ** 2 * (g2 * w2 / (g4_exp * w4)) * (1.0 - math.sqrt(arg))
-    if not denom > 0.0:  # arg rounded to one
-        raise NumericalError(f"coupling {lam:.6g} too strong for the asymptotic inverse")
-    return 1.0 / math.sqrt(denom)
+    # 1 / sqrt(2 pi^2 (g2 <w^2> / E4 <w^4>) (1 - sqrt(arg))), with the
+    # cancelling 1 - sqrt(arg) written as (1 - arg) / (1 + sqrt(arg))
+    return math.sqrt(g2 * w2 * lam * (1.0 + math.sqrt(arg)) / 2.0) / (2.0 * math.pi)

@@ -22,7 +22,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import bounds, gamma_model, measure, stability, tc_solver, verify
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .numerics import check_rank, check_scalar
 
 EXIT_OK = 0
@@ -206,12 +206,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    pair = gamma_model.g_top(args.gamma, args.n)
-    print(f"g({_fmt(args.gamma)}) at rank {args.n} = {_fmt(pair.value)}")
-    print(f"(1/2pi) * g^(1/gamma) = {_fmt(pair.value ** (1.0 / args.gamma) / (2.0 * math.pi))}")
+    g = gamma_model.g_top(args.gamma, args.n).value
+    try:
+        root = g ** (1.0 / args.gamma)
+    except OverflowError:
+        raise NumericalError(
+            f"g^(1/gamma) overflows: g = {_fmt(g)} to the power 1/gamma = {_fmt(1.0 / args.gamma)}"
+        ) from None
+    lines = [f"g({_fmt(args.gamma)}) at rank {args.n} = {_fmt(g)}",
+             f"(1/2pi) * g^(1/gamma) = {_fmt(root / (2.0 * math.pi))}"]
     if args.gamma == 2.0:
         cross = gamma_model.expected_gamma(4.0, 2.0, args.n)
-        print(f"exponent-four expectation in the optimizer = {_fmt(cross)}")
+        lines.append(f"exponent-four expectation in the optimizer = {_fmt(cross)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,9 +83,18 @@ class TestLibraryCases:
         with pytest.raises(ValidationError, match="coupling"):
             bounds.tc_asymptotic(einstein_unit, INF, 4)
 
-    def test_asymptotic_inverse_beyond_double_precision(self, einstein_unit):
-        with pytest.raises(NumericalError, match="asymptotic inverse"):
-            bounds.tc_asymptotic(einstein_unit, 1e17, 4)
+    @pytest.mark.parametrize("lam", [10.0, 1e4, 1e8, 1e13, 1e16, 1e17, 1e30])
+    def test_asymptotic_inverse_matches_oracle(self, einstein_unit, lam):
+        # the same closed form at 50 digits, with its cancelling 1 - sqrt(arg)
+        g2 = gamma_model.g_top(2.0, 4).value
+        g4 = gamma_model.expected_gamma(4.0, 2.0, 4)
+        w2, w4 = einstein_unit.moment(2), einstein_unit.moment(4)
+        with mpmath.workdps(50):
+            g2, g4, w2, w4 = (mpmath.mpf(x) for x in (g2, g4, w2, w4))
+            arg = 1 - 4 * g4 * w4 / (g2 * g2 * w2 * w2 * mpmath.mpf(lam))
+            want = 1 / mpmath.sqrt(2 * mpmath.pi ** 2 * (g2 * w2 / (g4 * w4)) * (1 - mpmath.sqrt(arg)))
+            got = bounds.tc_asymptotic(einstein_unit, lam, 4)
+            assert abs(got - want) / want <= 1e-13
 
     @pytest.mark.parametrize("n", [2.5, 4.0, True])
     def test_non_integer_gamma_order(self, n):
@@ -161,6 +171,15 @@ class TestCommandCases:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("validation error: ")
 
+    def test_gamma_overflow_exits_three_with_one_named_line(self, capsys):
+        # g^(1/gamma) overflows for a small exponent; nothing is printed first
+        assert cli.main(["gamma", "--gamma", "1e-3", "--n", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error: g^(1/gamma) overflows")
+        assert "1/gamma = 1000" in lines[0]
+
 
 # -- property over the public entry points ------------------------------------
 
@@ -233,3 +252,31 @@ def test_entry_points_return_finite_or_raise_the_taxonomy(call):
     values = _numbers(result)
     assert values or (name == "tc_flat" and result is None), name  # None: undefined
     assert all(math.isfinite(v) for v in values), (name, args, result)
+
+
+# -- frequency-scaling covariance across the band ------------------------------
+
+# s = 10**log_s with T, lam and the measure scales chosen so that every input,
+# and every trial temperature of a Tc solve, stays inside the band
+SCALED = st.sampled_from(MEASURES[:3])
+
+
+@given(SCALED, st.floats(-25.0, 25.0), st.floats(-2.0, 2.0), st.integers(1, 39))
+@settings(max_examples=200, deadline=None)
+def test_k_numeric_scaling_covariance(m, log_s, log_t, n):
+    s, t = 10.0 ** log_s, 10.0 ** log_t
+    base = stability.k_numeric(m, t, n).k_value
+    assert stability.k_numeric(m.scaled(s), s * t, n).k_value == pytest.approx(base, rel=1e-9)
+
+
+@given(SCALED, st.floats(-20.0, 20.0), st.floats(-0.3, 3.0), st.integers(1, 8))
+@settings(max_examples=30, deadline=None)
+def test_tc_n_scaling_covariance(m, log_s, log_lam, n):
+    s, lam = 10.0 ** log_s, 10.0 ** log_lam
+    base = tc_solver.tc_n(m, lam, n)
+    moved = tc_solver.tc_n(m.scaled(s), lam, n)
+    assert moved.status == base.status
+    if base.value is None:
+        assert moved.value is None
+    else:
+        assert moved.value == pytest.approx(s * base.value, rel=1e-9)
