@@ -182,6 +182,35 @@ class SpectralMeasure:
             out[1 + low:] = x * _horner(-x, self._even_moments)
         return out
 
+    def kernel_slopes(self, t: float, count: int) -> np.ndarray:
+        """Scale-free temperature slopes u d<<n>>/du, u = T^2, for n = 1 ..
+        count, indexed like :meth:`kernel_values` (entry 0 is 0).
+
+        Each is minus the average of x (1 - x), x = w^2 / (w^2 + (2 n pi T)^2),
+        so it lies in [-1/4, 0] and cannot overflow at any temperature;
+        d<<n>>/d(T^2) is the slope over T^2.  Tabulated densities take the
+        same two routes as :meth:`kernel_values`.  Any finite positive ``t``
+        is accepted.
+        """
+        check_scalar("temperature", t, banded=False)
+        c = 2.0 * np.pi * t * np.arange(1, count + 1, dtype=float)
+        out = np.zeros(count + 1, dtype=float)
+        if self.kind in ("einstein", "discrete"):
+            q = c[:, None] / self.omegas[None, :]
+            root = q / (1.0 + q * q)  # sqrt(x (1 - x)), free of over- and underflow
+            out[1:] = -(root * root) @ self.weights
+            return out
+        offsets = c / self.omega_max
+        low = int(np.searchsorted(offsets, _MOMENT_OFFSET))
+        if low:
+            out[1:1 + low] = -self._segment_slopes(offsets[:low])
+        if low < count:
+            # minus x d/dx of the series sum_k (-1)^(k+1) <w^2k> x^k
+            x = np.reciprocal(offsets[low:]) ** 2
+            weighted = self._even_moments * np.arange(1, _MOMENT_TERMS + 1)
+            out[1 + low:] = -x * _horner(-x, weighted)
+        return out
+
     def _segment_averages(self, offsets: np.ndarray) -> np.ndarray:
         """Tabulated averages at Matsubara offsets c given in units of
         omega_max, from the segment antiderivatives.
@@ -227,6 +256,56 @@ class SpectralMeasure:
 
         # the exact averages lie below 1; clip rounding as c -> 0
         return np.minimum(j0 @ alpha + 0.5 * (j1 @ beta), 1.0)
+
+    def _segment_slopes(self, offsets: np.ndarray) -> np.ndarray:
+        """Tabulated averages of x (1 - x), x = w^2/(w^2+c^2), at Matsubara
+        offsets c given in units of omega_max, from the segment
+        antiderivatives; the slopes are their negatives.
+
+        On a segment [a, b] with density alpha + beta*w, and with u, v as in
+        :meth:`_segment_averages` and r = c^2/(c^2+a^2),
+
+            integral w^2 c^2/(w^2+c^2)^2
+               = c/2 * atan u + h/2 * r (ab - c^2)/(b^2+c^2)
+               = h/2 * r (2a^2b^2 + c^2(a^2+b^2)) / ((c^2+ab)(b^2+c^2))
+                 - c/2 * (u - atan u),
+            integral w^3 c^2/(w^2+c^2)^2
+               = c^2/2 * (log1p v - r v/(1+v))
+               = c^2/2 * (v (1 - r + v)/(1+v) - (v - log1p v)).
+
+        The first forms cancel badly only where c^2 > ab (a^2) and u (v) < 1;
+        the second forms are used there, with the differences from series
+        below 1/4 (1/16).  Either way less than a factor 8 is lost to
+        cancellation.  The result is clipped to [0, 1/4].
+        """
+        a, b, pa, pb = self._unit_segments()
+        beta = (pb - pa) / (b - a)
+        alpha = pa - beta * a
+        c = np.maximum(offsets, _OFFSET_FLOOR)[:, None]
+        # every operand as a (rows x segments) array, so masks select alike
+        a, b, c = np.broadcast_arrays(a, b, c)
+        h, ab, a2, b2, c2 = b - a, a * b, a * a, b * b, c * c
+        r = c2 / (c2 + a2)
+
+        d = c2 + ab
+        u = c * h / d
+        i0 = 0.5 * c * np.arctan(u) + 0.5 * h * r * (ab - c2) / (b2 + c2)
+        s = (c2 > ab) & (u < 1.0)
+        us = u[s]
+        diff = np.where(us < _SERIES_BELOW ** 0.5,
+                        us ** 3 * _horner(us * us, _ATAN_SERIES), us - np.arctan(us))
+        i0[s] = (0.5 * h[s] * r[s] * (2.0 * ab[s] ** 2 + c2[s] * (a2[s] + b2[s]))
+                 / (d[s] * (b2[s] + c2[s])) - 0.5 * c[s] * diff)
+
+        v = h * (a + b) / (c2 + a2)
+        i1 = 0.5 * c2 * (np.log1p(v) - r * v / (1.0 + v))
+        s = (c2 > a2) & (v < 1.0)
+        vs = v[s]
+        diff = np.where(vs < _SERIES_BELOW, vs * vs * _horner(vs, _LOG_SERIES),
+                        vs - np.log1p(vs))
+        i1[s] = 0.5 * c2[s] * (vs * (1.0 - r[s] + vs) / (1.0 + vs) - diff)
+
+        return np.clip(i0 @ alpha + i1 @ beta, 0.0, 0.25)
 
     def scaled(self, s: float) -> "SpectralMeasure":
         """Pushforward under w -> s*w; tabulated densities pick up a 1/s."""

@@ -1,7 +1,8 @@
 """Shared numerical kernels and the input domain.
 
 Dense symmetric top-eigenpair extraction, positive-cone power iteration,
-Riemann zeta evaluation, adaptive quadrature, and monotone bisection.  All
+Riemann zeta evaluation, adaptive quadrature, monotone bisection, and the
+bracketed Newton iteration that solves for critical temperatures.  All
 routines are pure functions of their arguments and safe to call
 concurrently.  Accuracy contracts (not algorithms) are the interface; the
 defaults live in one configuration record so every tolerance used anywhere
@@ -30,6 +31,7 @@ class Tolerances:
     power_max_iter: int = 100_000
     quad_tol: float = 1e-10         # adaptive quadrature (derivative-identity check only)
     bisect_tol: float = 1e-12       # bracket width relative to the initial interval
+    newton_tol: float = 1e-8        # last Newton step over the root (Tc solves); error ~ its square
 
 
 DEFAULT_TOL = Tolerances()
@@ -41,6 +43,9 @@ DEFAULT_TOL = Tolerances()
 # w/(2 pi T) within 1e+-60, and the largest product, g^2 <w^2>^2 lam in the
 # asymptotic inverse, stays below 1e152.
 MIN_MAGNITUDE, MAX_MAGNITUDE = 1e-30, 1e30
+# Evaluations a Newton solve may take: bisection alone narrows a bracket to
+# 1e-8 of its end point in about 30, and each fourfold widening costs one.
+_NEWTON_MAX_EVALS = 100
 # Largest rank, order or count: one dense MAX_RANK x MAX_RANK float64 matrix
 # takes 8 * 4096^2 bytes = 128 MiB, and assembly holds a few at once.
 MAX_RANK = 4096
@@ -244,6 +249,57 @@ def bisect_monotone(
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def newton_bracketed(
+    f: Callable[[float], tuple[float, float]],
+    x0: float,
+    tol: float = DEFAULT_TOL.newton_tol,
+) -> float:
+    """Positive root of ``f``, where ``f`` is negative near 0 and positive
+    for large x; neither end is evaluated.
+
+    ``f(x)`` returns the value and the slope at x > 0.  From ``x0`` the
+    iteration keeps the sign-change bracket [a, b] of the values seen so far
+    and takes Newton steps.  It takes a bisection step instead whenever a
+    Newton step would leave the bracket, the slope is not positive, or the
+    step turns back by more than half the step before it, which stops
+    oscillation (after Brent, Algorithms for Minimization without
+    Derivatives, 1973).  While no positive value has been seen the
+    bisection step quadruples x; while no negative one has, it quarters b.
+    Each trial point is evaluated once.  The iteration stops at the first
+    step no longer than ``tol`` times its end point and returns that end
+    point: after a Newton step the error is of the order of the step squared.
+    """
+    if not 0.0 < x0 < math.inf:
+        raise ValidationError(f"start must be finite and positive, got {x0!r}")
+    a, b = 0.0, math.inf
+    x = x0
+    last = 0.0  # the previous step, signed
+    for _ in range(_NEWTON_MAX_EVALS):
+        value, slope = f(x)
+        if value == 0.0:
+            return x
+        if value < 0.0:
+            a = x
+        else:
+            b = x
+        new = x - value / slope if slope > 0.0 else math.nan
+        if not a < new < b or (new - x) * last < 0.0 and abs(new - x) > 0.5 * abs(last):
+            if b == math.inf:
+                new = 4.0 * a
+            elif a == 0.0:
+                new = 0.25 * b
+            else:
+                new = 0.5 * (a + b)
+        if abs(new - x) <= tol * new:
+            return new
+        last = new - x
+        x = new
+    raise NumericalError(
+        f"no root to relative step {tol:.1e} in {_NEWTON_MAX_EVALS} evaluations: "
+        f"bracket [{a!r}, {b!r}]"
+    )
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:

@@ -16,9 +16,11 @@ plugs inverse powers j^-gamma into the same kernel slots.
 
 Its top eigenvalue k_N(P, T) increases with N toward the stability
 threshold k(P, T); the reciprocal 1/k_N is a decreasing chain of upper
-bounds on the critical coupling.  Ranks one through four admit closed
-forms (linear, quadratic, trigonometric-cubic, resolvent-quartic), which
-this module evaluates independently of the dense eigensolver.
+bounds on the critical coupling.  Its slope in T^2, on which the
+critical-temperature solve steps, comes from the same assembly
+(:func:`k_slope`).  Ranks one through four admit closed forms (linear,
+quadratic, trigonometric-cubic, resolvent-quartic), which this module
+evaluates independently of the dense eigensolver.
 """
 
 from __future__ import annotations
@@ -95,17 +97,24 @@ def truncation(kernel: np.ndarray, n: int) -> np.ndarray:
     return matrix
 
 
-def assemble_k(m: SpectralMeasure, t: float, n: int) -> EliashbergOperator:
+def _ultracold(m: SpectralMeasure, t: float) -> bool:
+    """Whether every dimensionless frequency exceeds the limit above which
+    the zero-temperature kernel (all averages one) is used."""
+    min_omega = float(np.min(m.omegas[m.weights > 0])) if m.kind != "tabulated" else float(m.omegas[0])
+    return min_omega > 0.0 and min_omega / t > _WMAX_OVER_T_LIMIT
+
+
+def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> EliashbergOperator:
     """Assemble the rank-N truncation at temperature ``t``.
 
     The 2N-1 kernel averages are computed once and cached on the result;
     every matrix entry is a combination of them.  Symmetry is exact by
-    construction.
+    construction.  ``banded=False`` accepts any finite positive temperature,
+    as the trial temperatures of a Tc solve need.
     """
     check_rank("order", n)
-    check_scalar("temperature", t)
-    min_omega = float(np.min(m.omegas[m.weights > 0])) if m.kind != "tabulated" else float(m.omegas[0])
-    if min_omega > 0.0 and min_omega / t > _WMAX_OVER_T_LIMIT:
+    check_scalar("temperature", t, banded=banded)
+    if _ultracold(m, t):
         # zero-temperature limit: every average is one, so the truncation
         # is -I + 2 u u^T with u_n = 1/sqrt(2n+1)
         kernel = np.ones(2 * n, dtype=float)
@@ -117,14 +126,35 @@ def assemble_k(m: SpectralMeasure, t: float, n: int) -> EliashbergOperator:
     )
 
 
-def k_numeric(m: SpectralMeasure, t: float, n: int) -> KBound:
+def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> KBound:
     """Top eigenvalue of the rank-N truncation by dense eigensolve.
 
     The eigenvector is componentwise positive after sign normalization.
+    ``banded`` is passed to :func:`assemble_k`.
     """
-    op = assemble_k(m, t, n)
+    op = assemble_k(m, t, n, banded=banded)
     pair = sym_eig_top(op.matrix)
     return KBound(n=n, k_value=pair.value, lambda_upper=1.0 / pair.value, eigvec=pair.vector)
+
+
+def k_slope(m: SpectralMeasure, t: float, vector: np.ndarray) -> float:
+    """Temperature slope dk_N/d(T^2) of the top eigenvalue at ``t``, given
+    the unit top eigenvector ``vector`` of the rank-N truncation there
+    (``KBound.eigvec``).  Any finite positive ``t`` is accepted.
+
+    The top eigenvalue is simple: K + cI is entrywise positive for large
+    enough c, so its top eigenvector is a Perron vector.  The truncation is
+    linear in the kernel, so by Hellmann-Feynman the slope is
+    v^T truncation(d kernel/d(T^2)) v, one O(N^2) form on the kernel slopes
+    of :meth:`SpectralMeasure.kernel_slopes`.  In the zero-temperature limit
+    the all-ones kernel does not move, and the slope is zero.
+    """
+    check_scalar("temperature", t, banded=False)
+    n = len(vector)
+    if _ultracold(m, t):
+        return 0.0
+    slopes = truncation(m.kernel_slopes(t, 2 * n - 1), n)
+    return float(vector @ slopes @ vector) / (t * t)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: k_limit_T0(True) must not hit the rank-1 entry

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bounds, stability
-from .errors import NumericalError
 from .measure import SpectralMeasure
-from .numerics import bisect_monotone, check_rank, check_scalar
+from .numerics import check_rank, check_scalar, newton_bracketed
 
 STATUS_PROVEN = "proven"
 STATUS_HEURISTIC = "heuristic"
@@ -58,13 +57,18 @@ def t_star(m: SpectralMeasure) -> float:
     return bounds.t_star_threshold(m)
 
 
-def tc_n(m: SpectralMeasure, lam: float, n: int) -> LadderEntry:
+def tc_n(m: SpectralMeasure, lam: float, n: int, *, _start: Optional[float] = None) -> LadderEntry:
     """Rank-N lower bound on the critical temperature at coupling ``lam``.
 
-    Solves 1/k_N(P, T) = lam by bisection in T^2.  Status is ``proven``
-    when rank <= 2 or the solution lies at or above the monotonicity
-    threshold, ``heuristic`` for higher ranks below it, and ``undefined``
-    when the coupling does not exceed the zero-temperature floor.
+    Solves 1/k_N(P, T) = lam for u = T^2 by Newton steps on the
+    Hellmann-Feynman slope of k_N, kept inside a sign-change bracket
+    (:func:`eliashberg_tc.numerics.newton_bracketed`).  The iteration starts
+    at Tc_flat, or at Tc_sharp / 2 where Tc_flat is undefined;
+    :func:`tc_converged` starts each rank at the rank below it instead.
+    Status is ``proven`` when rank <= 2 or the solution lies at or above the
+    monotonicity threshold, ``heuristic`` for higher ranks below it, and
+    ``undefined`` when the coupling does not exceed the zero-temperature
+    floor.
     """
     check_scalar("coupling", lam)
     check_rank("order", n)
@@ -78,38 +82,19 @@ def tc_n(m: SpectralMeasure, lam: float, n: int) -> LadderEntry:
         value = omega * math.sqrt(lam - 1.0) / (2.0 * math.pi)
         return LadderEntry(n=1, value=value, status=STATUS_PROVEN)
 
-    target = 1.0 / lam
-    t_hi = 2.0 * bounds.tc_sharp(m, lam)
-    flat = bounds.tc_flat(m, lam)
-    t_lo = 0.5 * flat if flat is not None else 1e-6 * t_hi
+    if _start is None:
+        flat = bounds.tc_flat(m, lam)
+        _start = flat if flat is not None else 0.5 * bounds.tc_sharp(m, lam)
 
-    def f(u: float) -> float:  # the rank-N eigenvalue as a function of u = T^2
-        return stability.k_numeric(m, math.sqrt(u), n).k_value
+    def residual(u: float) -> tuple[float, float]:
+        """1/k_N - lam at T^2 = u, and its slope in u."""
+        t = math.sqrt(u)
+        bound = stability.k_numeric(m, t, n, banded=False)
+        slope = stability.k_slope(m, t, bound.eigvec)
+        return bound.lambda_upper - lam, -slope * bound.lambda_upper ** 2
 
-    u_lo, u_hi = t_lo * t_lo, t_hi * t_hi
-
-    # k decreases from its zero-temperature limit (> target) to zero, so a
-    # root is bracketed once f(u_lo) >= target >= f(u_hi); widen if needed.
-    expansions = 0
-    while f(u_lo) < target:
-        u_lo *= 1e-2
-        expansions += 1
-        if expansions > 60:
-            raise NumericalError(
-                f"no lower bracket for rank {n} at coupling {lam:.6g}: "
-                f"k({math.sqrt(u_lo):.3e}) = {f(u_lo):.6g} < 1/lam = {target:.6g}"
-            )
-    expansions = 0
-    while f(u_hi) > target:
-        u_hi *= 4.0
-        expansions += 1
-        if expansions > 60:
-            raise NumericalError(
-                f"no upper bracket for rank {n} at coupling {lam:.6g}: "
-                f"k({math.sqrt(u_hi):.3e}) = {f(u_hi):.6g} > 1/lam = {target:.6g}"
-            )
-    u = bisect_monotone(f, u_lo, u_hi, target)  # bracketed above
-    value = math.sqrt(u)
+    # 1/k_N rises from the rank floor (below lam) at u = 0 without bound
+    value = math.sqrt(newton_bracketed(residual, _start * _start))
     if n <= 2 or value >= t_star(m):
         status = STATUS_PROVEN
     else:
@@ -125,18 +110,19 @@ def tc_converged(
 ) -> TcReport:
     """Rank-doubling ladder until successive bounds agree to ``tol``.
 
-    Starts at rank four and doubles; the report carries the full ladder,
-    the global bounds, and the converged value (absent if the rank cap is
-    reached first).  The converged value is a lower bound on the true
-    critical temperature like every ladder entry.
+    Starts at rank four and doubles, each rank's solve starting at the
+    value of the rank below; the report carries the full ladder, the global
+    bounds, and the converged value (absent if the rank cap is reached
+    first).  The converged value is a lower bound on the true critical
+    temperature like every ladder entry.
     """
     check_scalar("tolerance", tol)
     check_rank("rank cap", n_cap)
     ladder: list[LadderEntry] = []
     n = 4
     while n <= n_cap:
-        entry = tc_n(m, lam, n)
         previous = ladder[-1].value if ladder else None
+        entry = tc_n(m, lam, n, _start=previous)
         ladder.append(entry)
         if None not in (previous, entry.value) and abs(entry.value - previous) <= tol * entry.value:
             return tc_report(m, lam, ladder, entry.value, entry.n, tol)

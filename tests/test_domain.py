@@ -18,6 +18,11 @@ from eliashberg_tc.numerics import MAX_MAGNITUDE, MAX_RANK, MIN_MAGNITUDE, check
 
 NAN, INF = float("nan"), float("inf")
 
+# Tc solves whose trial temperatures, and for the last one the answer too, lie
+# outside the band, on measures and couplings inside it
+OUT_OF_BAND_SOLVES = [(1e-25, 0.45, 4), (1e-29, 2.0, 4), (1e29, 1e3, 4), (1e29, 1e5, 64)]
+OUT_OF_BAND_IDS = ["1e-25-weak", "1e-29", "1e29", "1e29-rank64"]
+
 
 class TestValidator:
     @pytest.mark.parametrize("value", [MIN_MAGNITUDE, 1.0, MAX_MAGNITUDE, 3, np.float64(0.5)])
@@ -131,6 +136,13 @@ class TestLibraryCases:
         with pytest.raises(ValidationError, match="rank cap"):
             tc_solver.tc_converged(einstein_unit, 10.0, n_cap=MAX_RANK + 1)
 
+    @pytest.mark.parametrize("omega, lam, n", OUT_OF_BAND_SOLVES, ids=OUT_OF_BAND_IDS)
+    def test_tc_solve_outside_band(self, einstein_unit, omega, lam, n):
+        entry = tc_solver.tc_n(measure.einstein(omega), lam, n)
+        base = tc_solver.tc_n(einstein_unit, lam, n)
+        assert entry.status == base.status
+        assert entry.value == pytest.approx(omega * base.value, rel=1e-9)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_closed_form_hot_end(self, einstein_unit, n):
         # the closed forms under- or overflow long before the eigensolver does
@@ -170,6 +182,15 @@ class TestCommandCases:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("validation error: ")
+
+    @pytest.mark.parametrize("omega, lam, n", OUT_OF_BAND_SOLVES, ids=OUT_OF_BAND_IDS)
+    def test_tc_solve_outside_band_exits_zero(self, tmp_path, capsys, omega, lam, n):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"type":"einstein","omega":{omega!r}}}', encoding="utf-8")
+        assert cli.main(["tc", str(path), "--coupling", repr(lam), "--n", str(n)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"Tc_{n:<4}" in captured.out
 
     def test_gamma_overflow_exits_three_with_one_named_line(self, capsys):
         # g^(1/gamma) overflows for a small exponent; nothing is printed first
@@ -256,8 +277,8 @@ def test_entry_points_return_finite_or_raise_the_taxonomy(call):
 
 # -- frequency-scaling covariance across the band ------------------------------
 
-# s = 10**log_s with T, lam and the measure scales chosen so that every input,
-# and every trial temperature of a Tc solve, stays inside the band
+# s = 10**log_s with T, lam and the measure scales chosen so that every input
+# stays inside the band
 SCALED = st.sampled_from(MEASURES[:3])
 
 

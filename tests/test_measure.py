@@ -76,6 +76,31 @@ def _oracle(m: measure.SpectralMeasure):
     return average
 
 
+def _slope_oracle(m: measure.SpectralMeasure):
+    """u d<<n>>/du, u = T^2, of a tabulated density, from the antiderivatives
+    c/2 atan(w/c) - c^2 w/(2(w^2+c^2)) of w^2 c^2/(w^2+c^2)^2 and
+    c^2/2 (log(w^2+c^2) + c^2/(w^2+c^2)) of w^3 c^2/(w^2+c^2)^2; the second
+    cancels to 1e-28 of its terms at the largest offsets, hence 60 digits."""
+    with mpmath.workdps(60):
+        w = [mpmath.mpf(float(x)) for x in m.omegas]
+        p = [mpmath.mpf(float(x)) for x in m.weights]
+        beta = [(p[i + 1] - p[i]) / (w[i + 1] - w[i]) for i in range(len(w) - 1)]
+        alpha = [p[i] - beta[i] * w[i] for i in range(len(w) - 1)]
+
+    def slope(t: float, n: int) -> mpmath.mpf:
+        with mpmath.workdps(60):
+            c = 2 * mpmath.pi * mpmath.mpf(t) * n
+            c2 = c * c
+            f0 = [c / 2 * mpmath.atan(x / c) - c2 * x / (2 * (x * x + c2)) for x in w]
+            f1 = [c2 / 2 * (mpmath.log(x * x + c2) + c2 / (x * x + c2)) for x in w]
+            return -mpmath.fsum(
+                alpha[i] * (f0[i + 1] - f0[i]) + beta[i] * (f1[i + 1] - f1[i])
+                for i in range(len(alpha))
+            )
+
+    return slope
+
+
 class TestValidation:
     def test_einstein_valid(self):
         m = measure.einstein(1.0)
@@ -350,6 +375,49 @@ class TestTabulatedOracle:
     def test_vanishing_temperature(self, triangle):
         values = triangle.kernel_values(1e-160, 3)[1:]
         assert values.tolist() == [1.0, 1.0, 1.0]
+
+
+class TestKernelSlopes:
+    @pytest.mark.parametrize("name", list(ORACLE_MEASURES))
+    def test_matches_mpmath(self, name):
+        m = ORACLE_MEASURES[name]()
+        oracle = _slope_oracle(m)
+        for t_over in (1e-4, 1e-2, 1.0, 1e2):
+            t = t_over * m.omega_max
+            slopes = m.kernel_slopes(t, 2047)
+            for n in (1, 31, 2047):
+                want = oracle(t, n)
+                assert abs(slopes[n] - want) <= 1e-11 * abs(want), (t_over, n)
+
+    @pytest.mark.parametrize("atoms", [[(1.0, 1.0)], [(0.25, 0.5), (0.75, 2.0)],
+                                       [(0.2, 0.3), (0.5, 1.0), (0.3, 4.0)]])
+    def test_atoms_closed_form(self, atoms):
+        m = measure.discrete(atoms)
+        for t in (1e-3, 0.07, 0.9, 40.0):
+            slopes = m.kernel_slopes(t, 9)
+            assert slopes[0] == 0.0
+            for n in range(1, 10):
+                c2 = (2 * n * math.pi * t) ** 2
+                want = -sum(p * w * w * c2 / (w * w + c2) ** 2 for p, w in atoms)
+                assert slopes[n] == pytest.approx(want, rel=1e-14)
+
+    def test_einstein_at_unit_ratio(self):
+        # x = 1/2 at 2 pi T = omega, so the slope there is -1/4, the least one
+        t = 0.25
+        m = measure.einstein(2.0 * math.pi * t)
+        assert m.kernel_slopes(t, 2)[1:].tolist() == pytest.approx([-0.25, -0.16], abs=1e-15)
+
+    @pytest.mark.parametrize("name, count", [("triangle", 2047), ("rough-1000", 127),
+                                             ("einstein", 2047), ("two-atoms", 2047)])
+    def test_extreme_temperatures_stay_finite(self, name, count):
+        m = {"einstein": lambda: measure.einstein(1.0),
+             "two-atoms": lambda: measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
+             **ORACLE_MEASURES}[name]()
+        for ratio in np.geomspace(1e-100, 1e100, 21):
+            with np.errstate(all="raise"):
+                slopes = m.kernel_slopes(m.omega_max / ratio, count)[1:]
+            assert np.all(np.isfinite(slopes))
+            assert np.all((slopes >= -0.25) & (slopes <= 0.0))
 
 
 @st.composite

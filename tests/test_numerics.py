@@ -7,6 +7,7 @@ from eliashberg_tc.errors import BracketError, NumericalError, ValidationError
 from eliashberg_tc.numerics import (
     bisect_monotone,
     integrate_adaptive,
+    newton_bracketed,
     power_iteration_positive,
     riemann_zeta,
     sym_eig_top,
@@ -153,6 +154,51 @@ class TestBisection:
             bisect_monotone(lambda x: x, 0.0, 1.0, 5.0)
         assert err.value.f_lo == 0.0
         assert err.value.f_hi == 1.0
+
+
+def _recorded(f):
+    """``f`` with every abscissa it is called at appended to ``f.points``."""
+    points = []
+
+    def wrapped(x):
+        points.append(x)
+        return f(x)
+
+    wrapped.points = points
+    return wrapped
+
+
+class TestNewtonBracketed:
+    def test_open_above(self):
+        # log x - 3 from x0 = 1: the bracket is (0, inf) until a positive value
+        f = _recorded(lambda x: (math.log(x) - 3.0, 1.0 / x))
+        assert newton_bracketed(f, 1.0) == pytest.approx(math.exp(3.0), rel=1e-15)
+        assert len(set(f.points)) == len(f.points) <= 10
+
+    def test_overshoot_below_zero_falls_back(self):
+        # sqrt(x) - 1e-3 from x0 = 1: the Newton step leaves (0, inf) downward
+        f = _recorded(lambda x: (math.sqrt(x) - 1e-3, 0.5 / math.sqrt(x)))
+        assert newton_bracketed(f, 1.0) == pytest.approx(1e-6, rel=1e-15)
+        assert len(set(f.points)) == len(f.points)
+
+    def test_slope_not_positive_bisects(self):
+        f = _recorded(lambda x: (x - 0.3, 0.0))
+        assert newton_bracketed(f, 0.9, tol=1e-12) == pytest.approx(0.3, rel=1e-11)
+        assert len(set(f.points)) == len(f.points)
+
+    def test_oscillation_bisects(self):
+        # a wrong slope of a fixed size makes Newton steps turn back and forth
+        got = newton_bracketed(lambda x: (math.atan(x - 0.7), 0.4), 0.2)
+        assert got == pytest.approx(0.7, rel=1e-8)
+
+    def test_no_sign_change(self):
+        with pytest.raises(NumericalError, match="in 100 evaluations"):
+            newton_bracketed(lambda x: (-1.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("x0", [0.0, -1.0, math.inf, math.nan])
+    def test_start_not_positive(self, x0):
+        with pytest.raises(ValidationError, match="start"):
+            newton_bracketed(lambda x: (x, 1.0), x0)
 
 
 class TestAdaptiveQuadrature:

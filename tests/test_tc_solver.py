@@ -1,6 +1,8 @@
 import math
 
+import mpmath
 import pytest
+from test_measure import _oracle
 
 from eliashberg_tc import bounds, measure, stability, tc_solver
 from eliashberg_tc.errors import ValidationError
@@ -119,3 +121,113 @@ class TestConvergedReport:
         assert report.converged_tc is None
         assert report.converged_n is None
         assert len(report.ladder) == 2
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Counter of the dense eigensolves (k_numeric calls) made through it."""
+    count = [0]
+    original = stability.k_numeric
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "k_numeric", counted)
+    return count
+
+
+BUDGET_MEASURES = {
+    "einstein": lambda: measure.einstein(1.0),
+    "two-atoms": lambda: measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
+    "five-atoms": lambda: measure.discrete([(0.1, 0.3), (0.2, 0.7), (0.3, 1.0), (0.25, 1.9),
+                                            (0.15, 3.0)]),
+}
+
+
+class TestEigensolveBudget:
+    @pytest.mark.parametrize("name", list(BUDGET_MEASURES))
+    def test_cold_solve(self, name, eigensolves):
+        m = BUDGET_MEASURES[name]()
+        for lam in (0.9, 2.0, 10.0, 1e4):
+            for n in (4, 64):
+                eigensolves[0] = 0
+                assert tc_solver.tc_n(m, lam, n).value is not None
+                assert eigensolves[0] <= 10, (lam, n, eigensolves[0])
+
+    @pytest.mark.parametrize("name", list(BUDGET_MEASURES))
+    def test_warm_started_ladder(self, name, eigensolves):
+        m = BUDGET_MEASURES[name]()
+        ranks = 0
+        for lam in (0.9, 2.0, 10.0, 1e4):
+            ranks += len(tc_solver.tc_converged(m, lam, tol=1e-6).ladder)
+        assert eigensolves[0] <= 6 * ranks, (eigensolves[0], ranks)
+
+
+def _kernel_oracle(m: measure.SpectralMeasure):
+    """<<n>> at T in 40 digits: the atom sums, or the tabulated oracle."""
+    if m.kind == "tabulated":
+        return _oracle(m)
+    atoms = [(mpmath.mpf(float(p)), mpmath.mpf(float(w))) for p, w in zip(m.weights, m.omegas)]
+
+    def average(t, n: int) -> mpmath.mpf:
+        c2 = (2 * mpmath.pi * t * n) ** 2
+        return mpmath.fsum(p * w * w / (w * w + c2) for p, w in atoms)
+
+    return average
+
+
+def _tc_oracle(m: measure.SpectralMeasure, lam: float, n: int, start: float) -> mpmath.mpf:
+    """Root T of 1/k_N(T) = lam in 40 digits: the rank-N truncation built
+    entry by entry from the oracle averages, its top eigenvalue by mp.eigsy,
+    and the root by mp.findroot from ``start``."""
+    average = _kernel_oracle(m)
+    with mpmath.workdps(40):
+        target = mpmath.mpf(lam)
+
+        def excess(t):
+            kv = [mpmath.mpf(0)] + [average(t, j) for j in range(1, 2 * n)]
+            k = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    norm = mpmath.sqrt((2 * i + 1) * (2 * j + 1))
+                    k[i, j] = (kv[abs(i - j)] + kv[i + j + 1]) / norm
+                k[i, i] -= 2 * mpmath.fsum(kv[1:i + 1]) / (2 * i + 1)
+            return 1 / max(mpmath.eigsy(k, eigvals_only=True)) - target
+
+        return mpmath.findroot(excess, mpmath.mpf(start))
+
+
+ORACLE_MEASURES = {
+    "einstein": lambda: measure.einstein(1.0),
+    "two-atoms": lambda: measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
+    "triangle": lambda: measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)]),
+}
+
+
+class TestLadderOracle:
+    @pytest.mark.parametrize("lam", [0.6, 2.0, 10.0, 1e4])
+    @pytest.mark.parametrize("name", list(ORACLE_MEASURES))
+    def test_matches_mpmath(self, name, lam):
+        m = ORACLE_MEASURES[name]()
+        for n in (1, 2, 3, 4, 8):
+            entry = tc_solver.tc_n(m, lam, n)
+            if lam <= stability.k_limit_T0(n).lambda_floor:
+                assert entry.status == "undefined" and entry.value is None
+                continue
+            want = _tc_oracle(m, lam, n, entry.value)
+            assert abs(entry.value - want) <= 1e-10 * want, (n, entry.value, want)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("lam", [0.62, 2.0, 10.0, 1e3])
+    @pytest.mark.parametrize("name", ["einstein", "five-atoms", "triangle"])
+    def test_ladder_matches_cold_solves(self, name, lam):
+        m = {**BUDGET_MEASURES, **ORACLE_MEASURES}[name]()
+        report = tc_solver.tc_converged(m, lam, tol=1e-6)
+        assert len(report.ladder) >= 3
+        for entry in report.ladder:
+            cold = tc_solver.tc_n(m, lam, entry.n)
+            assert cold.status == entry.status
+            if entry.value is not None:
+                assert abs(entry.value - cold.value) <= 1e-13 * cold.value, entry.n
