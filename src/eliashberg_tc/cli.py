@@ -174,10 +174,11 @@ def write_sweep(
         flat = bounds.tc_flat(m, lam)
         sharp = bounds.tc_sharp(m, lam)
         tilde = bounds.tc_tilde(m, lam)
-        entry4 = tc_solver.tc_n(m, lam, 4)
-        converged = None
-        if converge_tol is not None:
-            converged = tc_solver.tc_converged(m, lam, tol=converge_tol).converged_tc
+        if converge_tol is None:
+            entry4, converged = tc_solver.tc_n(m, lam, 4), None
+        else:  # the ladder starts with the same cold rank-4 solve
+            report = tc_solver.tc_converged(m, lam, tol=converge_tol)
+            entry4, converged = report.ladder[0], report.converged_tc
         cells = (flat, sharp, tilde, entry4.value, converged)
         row = [_fmt(lam)] + _scaled(cells, norm)
         if inverse_sqrt_x:

@@ -1,6 +1,7 @@
 """Shared numerical kernels and the input domain.
 
-Dense symmetric top-eigenpair extraction, positive-cone power iteration,
+Symmetric top-eigenpair extraction (dense, or Lanczos for large matrices
+with positive off-diagonal entries), positive-cone power iteration,
 Riemann zeta evaluation, adaptive quadrature, monotone bisection, and the
 bracketed Newton iteration that solves for critical temperatures.  All
 routines are pure functions of their arguments and safe to call
@@ -15,7 +16,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,6 +50,18 @@ _NEWTON_MAX_EVALS = 100
 # Largest rank, order or count: one dense MAX_RANK x MAX_RANK float64 matrix
 # takes 8 * 4096^2 bytes = 128 MiB, and assembly holds a few at once.
 MAX_RANK = 4096
+# sym_eig_top tries Lanczos from this rank on; below it dense eigh is
+# faster.  Measured with one BLAS thread on the gamma (gamma 0.5, 2) and
+# einstein (T = 0.02, 1) operators: Lanczos takes 0.7-0.8 ms at every rank
+# up to 96, dense eigh 0.6 ms at N = 64, 0.8 at 72, 1.0 at 80 and 1.4 at 96.
+_KRYLOV_MIN_RANK = 96
+# Lanczos steps before sym_eig_top falls back to eigh; the operators of this
+# package converge in 13-15.
+_KRYLOV_MAX_STEPS = 64
+# Largest entry magnitude the Lanczos route takes, and its reciprocal the
+# smallest: vector norms are square roots of sums of squares.
+_KRYLOV_SCALE = 2.0 ** 300
+_EPS = float(np.finfo(float).eps)
 
 
 def check_scalar(name: str, value, banded: bool = True) -> float:
@@ -94,8 +107,82 @@ def _sign_normalize(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
+def _exactly_symmetric(m: np.ndarray) -> bool:
+    """Whether the square ``m`` equals its transpose, compared tile pair by
+    tile pair so that both reads stay in cache (comparing ``m`` with ``m.T``
+    whole is 6x slower at N = 2048)."""
+    n, tile = len(m), 128
+    return all((m[i:i + tile, j:j + tile] == m[j:j + tile, i:i + tile].T).all()
+               for i in range(0, n, tile) for j in range(i, n, tile))
+
+
+def _krylov_eligible(m: np.ndarray) -> bool:
+    """Whether the symmetric ``m`` takes the Lanczos route: rank at least
+    ``_KRYLOV_MIN_RANK``, every off-diagonal entry positive, and its largest
+    entry in (1/_KRYLOV_SCALE, _KRYLOV_SCALE), so that no squared vector
+    norm of the iteration under- or overflows.
+
+    Without the last diagonal entry, the flattened matrix is n-1 rows of n+1
+    entries, each row starting at a diagonal entry: the rest of the rows are
+    the off-diagonal entries, read in place.
+    """
+    n = len(m)
+    if n < _KRYLOV_MIN_RANK:
+        return False
+    off = m.reshape(-1)[:-1].reshape(n - 1, n + 1)[:, 1:]
+    big = max(float(np.max(off)), float(np.max(np.abs(np.diag(m)))))
+    return float(np.min(off)) > 0.0 and 1.0 / _KRYLOV_SCALE < big < _KRYLOV_SCALE
+
+
+def _lanczos_top(m: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+    """Top Ritz pair of the symmetric ``m`` by Lanczos with full
+    reorthogonalization (Parlett, The Symmetric Eigenvalue Problem, 1998,
+    ch. 13), started from the positive vector 1/sqrt(2n+1); None unless it
+    converges within ``_KRYLOV_MAX_STEPS`` steps.
+
+    Each new Lanczos vector is orthogonalized twice against the whole basis
+    (classical Gram-Schmidt), so orthogonality holds to rounding without
+    selective reorthogonalization.  The iteration has converged when the
+    residual of the top Ritz pair, beta_j |s_j| for the top eigenvector s of
+    the tridiagonal T_j, is at rounding level, 4 eps max|eig(T_j)|, or when
+    the Krylov space is invariant (beta_j = 0).
+    """
+    n = len(m)
+    steps = min(_KRYLOV_MAX_STEPS, n)
+    basis = np.empty((steps, n))
+    start = 1.0 / np.sqrt(2.0 * np.arange(n) + 1.0)
+    basis[0] = start / np.linalg.norm(start)
+    tri = np.zeros((steps, steps))
+    for j in range(steps):
+        w = m @ basis[j]
+        tri[j, j] = basis[j] @ w
+        for _ in range(2):
+            w -= (basis[: j + 1] @ w) @ basis[: j + 1]
+        beta = float(np.linalg.norm(w))
+        values, vectors = np.linalg.eigh(tri[: j + 1, : j + 1])
+        if beta * abs(vectors[-1, -1]) <= 4.0 * _EPS * max(-values[0], values[-1]):
+            return float(values[-1]), vectors[:, -1] @ basis[: j + 1]
+        if j + 1 < steps:
+            basis[j + 1] = w / beta
+            tri[j, j + 1] = tri[j + 1, j] = beta
+    return None
+
+
+def _residual(m: np.ndarray, value: float, vector: np.ndarray) -> float:
+    return float(np.linalg.norm(m @ vector - value * vector))
+
+
 def sym_eig_top(matrix: np.ndarray, residual_tol: float = DEFAULT_TOL.eig_residual) -> EigenPair:
     """Algebraically largest eigenvalue of a real symmetric matrix.
+
+    Two routes give the same pair to rounding.  A matrix of rank
+    ``_KRYLOV_MIN_RANK`` or more whose off-diagonal entries are all positive
+    is irreducible and Metzler, so its top eigenvector is a positive Perron
+    vector, which the positive Lanczos start vector cannot be orthogonal to;
+    it goes to Lanczos (:func:`_lanczos_top`, O(N^2) per step for 10-15
+    steps).  That result is kept only if it meets the residual contract
+    below and its vector is strictly positive.  Otherwise, and for every
+    other matrix, the pair comes from a dense ``eigh``, O(N^3).
 
     Parameters
     ----------
@@ -116,13 +203,21 @@ def sym_eig_top(matrix: np.ndarray, residual_tol: float = DEFAULT_TOL.eig_residu
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix has non-finite entries")
-    if not np.array_equal(m, m.T):
+    if not _exactly_symmetric(m):
         raise ValidationError("matrix is not exactly symmetric")
+    ritz = _lanczos_top(m) if _krylov_eligible(m) else None
+    if ritz is not None:
+        value, vector = ritz
+        vector = _sign_normalize(vector)
+        vector /= np.linalg.norm(vector)
+        certified = _residual(m, value, vector) <= residual_tol * (1.0 + abs(value))
+        if certified and np.all(vector > 0.0):
+            return EigenPair(value=value, vector=vector)
     eigvals, eigvecs = np.linalg.eigh(m)
     value = float(eigvals[-1])
     vector = _sign_normalize(eigvecs[:, -1].copy())
     vector /= np.linalg.norm(vector)
-    residual = float(np.linalg.norm(m @ vector - value * vector))
+    residual = _residual(m, value, vector)
     if residual > residual_tol * (1.0 + abs(value)):
         raise NumericalError(
             f"eigenpair residual {residual:.3e} exceeds contract "

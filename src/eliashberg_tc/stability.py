@@ -20,7 +20,7 @@ bounds on the critical coupling.  Its slope in T^2, on which the
 critical-temperature solve steps, comes from the same assembly
 (:func:`k_slope`).  Ranks one through four admit closed forms (linear,
 quadratic, trigonometric-cubic, resolvent-quartic), which this module
-evaluates independently of the dense eigensolver.
+evaluates independently of the eigensolver.
 """
 
 from __future__ import annotations
@@ -83,9 +83,16 @@ def split_operator(kernel: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     kernel[j] = j^-gamma the gamma family."""
     idx = np.arange(n)
     inv_sqrt = 1.0 / np.sqrt(2.0 * idx + 1.0)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    summ = idx[:, None] + idx[None, :] + 1
-    exchange = (kernel[diff] + kernel[summ]) * np.outer(inv_sqrt, inv_sqrt)
+    # Toeplitz and Hankel parts as read-only strided views of one buffer, not
+    # N^2 gathers: mirrored[n-1+k] = kernel[|k|], so the Toeplitz entry (i, j)
+    # is mirrored[n-1-i+j] and the Hankel entry kernel[i+j+1] is
+    # mirrored[n+i+j].  The ndarray constructor checks the views stay inside it.
+    mirrored = np.concatenate((kernel[n - 1:0:-1], kernel[:2 * n]), dtype=float)
+    mirrored.flags.writeable = False
+    step = mirrored.itemsize
+    toeplitz = np.ndarray((n, n), float, mirrored, (n - 1) * step, (-step, step))
+    hankel = np.ndarray((n, n), float, mirrored, n * step, (step, step))
+    exchange = (toeplitz + hankel) * np.outer(inv_sqrt, inv_sqrt)
     prefix = np.concatenate(([0.0], np.cumsum(kernel[1:n])))
     return exchange, 2.0 * prefix / (2.0 * idx + 1.0)
 
@@ -127,7 +134,9 @@ def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> 
 
 
 def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> KBound:
-    """Top eigenvalue of the rank-N truncation by dense eigensolve.
+    """Top eigenvalue of the rank-N truncation by :func:`sym_eig_top`:
+    Lanczos from its crossover rank on, dense ``eigh`` below it or when the
+    Lanczos pair fails its certificate.
 
     The eigenvector is componentwise positive after sign normalization.
     ``banded`` is passed to :func:`assemble_k`.

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eliashberg_tc import cli, gamma_model, stability
+from eliashberg_tc import cli, gamma_model, stability, tc_solver
 
 NAN, INF = float("nan"), float("inf")
 
@@ -169,6 +169,23 @@ class TestSweepCommand:
                 "--points", "7", "--out", str(path), "--normalized", "--inverse-sqrt-x",
             ])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_converged_sweep_solves_rank_four_once_per_row(self, einstein_file, tmp_path,
+                                                          monkeypatch):
+        ranks = []
+        tc_n = tc_solver.tc_n
+
+        def recorded(m, lam, n, **kwargs):
+            ranks.append(n)
+            return tc_n(m, lam, n, **kwargs)
+
+        monkeypatch.setattr(tc_solver, "tc_n", recorded)
+        code = cli.main([
+            "sweep", einstein_file, "--lambda-min", "2", "--lambda-max", "20",
+            "--points", "2", "--converge", "1e-6", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == 0
+        assert ranks.count(4) == 2 and ranks[0] == 4 and ranks.index(4, 1) > 1
 
     def test_unwritable_path_exit_four(self, einstein_file, capsys):
         code = cli.main([

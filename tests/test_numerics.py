@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eliashberg_tc import gamma_model, measure, numerics, stability
 from eliashberg_tc.errors import BracketError, NumericalError, ValidationError
 from eliashberg_tc.numerics import (
     bisect_monotone,
@@ -77,6 +78,120 @@ class TestSymEigTop:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             sym_eig_top(np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]]))
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """Orders of the np.linalg.eigh calls made from here on: Lanczos solves
+    tridiagonals of at most _KRYLOV_MAX_STEPS, the dense route the whole
+    matrix."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return sizes
+
+
+def _dense_top(mat: np.ndarray, monkeypatch) -> numerics.EigenPair:
+    """sym_eig_top with the Lanczos route switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "_KRYLOV_MIN_RANK", numerics.MAX_RANK + 1)
+        return sym_eig_top(mat)
+
+
+KRYLOV_MEASURES = {
+    "einstein": measure.einstein(1.0),
+    "two-atoms": measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
+    "triangle": measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)]),
+}
+KRYLOV_RANKS = [numerics._KRYLOV_MIN_RANK, 256, 1024]
+# (family, T / omega_max or gamma, rank)
+KRYLOV_CASES = [(name, x, n) for n in KRYLOV_RANKS
+                for name in KRYLOV_MEASURES for x in (0.005, 0.02, 0.1, 1.0)]
+KRYLOV_CASES += [("gamma", x, n) for n in KRYLOV_RANKS for x in (0.5, 1.0, 2.0, 4.0)]
+
+
+def _operator(family: str, x: float, n: int) -> np.ndarray:
+    if family == "gamma":
+        return gamma_model.assemble_gamma(x, n).matrix
+    m = KRYLOV_MEASURES[family]
+    return stability.assemble_k(m, x * float(np.max(m.omegas)), n).matrix
+
+
+class TestKrylovRoute:
+    @pytest.mark.parametrize("family, x, n", KRYLOV_CASES)
+    def test_matches_dense(self, family, x, n, eigh_sizes):
+        mat = _operator(family, x, n)
+        pair = sym_eig_top(mat)
+        assert max(eigh_sizes) <= numerics._KRYLOV_MAX_STEPS  # no dense eigh was made
+        top = np.linalg.eigvalsh(mat)[-1]
+        assert abs(pair.value - top) <= 1e-13 * abs(top)
+        vector = np.linalg.eigh(mat)[1][:, -1]
+        assert np.max(np.abs(pair.vector - vector * np.sign(vector[0]))) <= 1e-10
+        assert np.all(pair.vector > 0.0)
+        theta = gamma_model.theta_profile(pair.vector)
+        assert not np.any(np.diff(theta) > 1e-12 * theta[0])
+
+    def test_negative_off_diagonal_pair_takes_dense_route(self, eigh_sizes, monkeypatch):
+        mat = gamma_model.assemble_gamma(2.0, 128).matrix.copy()
+        mat[3, 40] = mat[40, 3] = -0.01
+        pair = sym_eig_top(mat)
+        assert eigh_sizes == [128]
+        dense = _dense_top(mat, monkeypatch)
+        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
+
+    def test_exhausted_budget_falls_back_to_dense(self, eigh_sizes, monkeypatch):
+        mat = stability.assemble_k(KRYLOV_MEASURES["two-atoms"], 0.1, 200).matrix
+        monkeypatch.setattr(numerics, "_KRYLOV_MAX_STEPS", 1)
+        pair = sym_eig_top(mat)
+        assert eigh_sizes == [1, 200]
+        dense = _dense_top(mat, monkeypatch)
+        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
+
+    @pytest.mark.parametrize("fault", ["vector sign", "value"])
+    def test_uncertified_ritz_pair_falls_back_to_dense(self, fault, eigh_sizes, monkeypatch):
+        # with its value moved by 1e-6 the Ritz pair stays positive but misses
+        # the residual contract.  A last row and column coupled by 1e-12 give
+        # the Perron vector a last component near 1e-16: with its sign flipped
+        # the pair still meets the contract but is not positive.
+        mat = gamma_model.assemble_gamma(2.0, 128).matrix.copy()
+        if fault == "vector sign":
+            mat[-1] *= 1e-12
+            mat[:, -1] *= 1e-12
+            mat[-1, -1] = -100.0
+        lanczos = numerics._lanczos_top
+
+        def faulty(m):
+            value, vector = lanczos(m)
+            if fault == "value":
+                assert np.all(vector * vector[0] > 0.0)
+                return value + 1e-6, vector
+            vector[-1] = -math.copysign(vector[-1], vector[0])
+            assert np.linalg.norm(m @ vector - value * vector) <= 1e-10 * (1.0 + abs(value))
+            return value, vector
+
+        monkeypatch.setattr(numerics, "_lanczos_top", faulty)
+        pair = sym_eig_top(mat)
+        assert eigh_sizes[-1] == 128
+        dense = _dense_top(mat, monkeypatch)
+        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
+
+    def test_tiny_entries_take_dense_route(self, eigh_sizes, monkeypatch):
+        # at omega/T = 1e-100 every entry is below 1e-200, where squared
+        # vector norms underflow; the dense route scales the matrix itself
+        kb = stability.k_numeric(KRYLOV_MEASURES["einstein"], 1e100, 128, banded=False)
+        assert eigh_sizes == [128]
+        mat = stability.assemble_k(KRYLOV_MEASURES["einstein"], 1e100, 128, banded=False).matrix
+        assert kb.k_value == _dense_top(mat, monkeypatch).value
+
+    def test_below_crossover_is_dense(self, eigh_sizes):
+        n = numerics._KRYLOV_MIN_RANK - 1
+        sym_eig_top(gamma_model.assemble_gamma(2.0, n).matrix)
+        assert eigh_sizes == [n]
 
 
 class TestPowerIteration:

@@ -71,3 +71,20 @@ def test_tracer_covers_the_declared_layers(perfbench, tmp_path):
     value = {name: metric["value"] for name, metric in metrics.items()}
     assert value["tc_solver.tc_converged.ranks"] == value["tc_solver.tc_n.calls"] > 0
     assert value["tc_solver.tc_n.k_evals_per_call"] > 0
+
+
+def test_high_rank_eigensolve_is_traced(perfbench):
+    # a gamma rank above the Lanczos crossover still makes exactly one
+    # traced sym_eig_top call
+    run, tracing, workloads = perfbench
+    call = workloads.Call("gamma", ("gamma", "--gamma", "1.5", "--n", "300"))
+    eliashberg_tc.gamma_model._top_pair.cache_clear()
+    tracer = tracing.Tracer(eliashberg_tc, run.SUBMODULES)
+    tracer.install()
+    try:
+        outcome = run.run_call(eliashberg_tc.cli, call)
+    finally:
+        tracer.uninstall()
+        eliashberg_tc.gamma_model._top_pair.cache_clear()
+    assert outcome.rc == 0
+    assert tracer.metrics()["numerics.sym_eig_top.calls"] == 1

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from eliashberg_tc import gamma_model, measure, stability
-from eliashberg_tc.errors import ValidationError
+from eliashberg_tc.errors import NumericalError, ValidationError
 
 
 def varpi_atom(varpi, t=1.0 / (2.0 * math.pi)):
@@ -28,6 +29,19 @@ class TestAssembly:
             assert np.all(kernel[1:] == 1.0) == (case == "ultracold")
         exchange, drag = stability.split_operator(kernel, n)
         assert np.array_equal(exchange - np.diag(drag), op.matrix)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 513])
+    def test_strided_views_equal_gathers(self, n):
+        # the index-array form the strided views replace, bit for bit
+        kernel = np.random.default_rng(n).random(2 * n)
+        kernel[0] = 0.0
+        idx = np.arange(n)
+        inv_sqrt = 1.0 / np.sqrt(2.0 * idx + 1.0)
+        diff = np.abs(idx[:, None] - idx[None, :])
+        summ = idx[:, None] + idx[None, :] + 1
+        gathered = (kernel[diff] + kernel[summ]) * np.outer(inv_sqrt, inv_sqrt)
+        exchange, _ = stability.split_operator(kernel, n)
+        assert np.array_equal(exchange, gathered)
 
     def test_rank_one_entry(self):
         m, t = varpi_atom(1.0)
@@ -171,6 +185,41 @@ class TestNumericEigenvalue:
         assert np.all(kb.eigvec > 0.0)
         theta = gamma_model.theta_profile(kb.eigvec)
         assert np.all(np.diff(theta) <= 1e-12 * theta[0])
+
+
+def _k_oracle(m: measure.SpectralMeasure, t: float, n: int) -> mpmath.mpf:
+    """Top eigenvalue of the rank-N truncation in 50 digits: the matrix built
+    entry by entry from the atom sums <<j>>, its spectrum by mp.eigsy."""
+    with mpmath.workdps(50):
+        atoms = [(mpmath.mpf(float(p)), mpmath.mpf(float(w))) for p, w in zip(m.weights, m.omegas)]
+        t = mpmath.mpf(t)
+        kv = [mpmath.mpf(0)] + [
+            mpmath.fsum(p * w * w / (w * w + (2 * mpmath.pi * t * j) ** 2) for p, w in atoms)
+            for j in range(1, 2 * n)
+        ]
+        k = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                k[i, j] = (kv[abs(i - j)] + kv[i + j + 1]) / mpmath.sqrt((2 * i + 1) * (2 * j + 1))
+            k[i, i] -= 2 * mpmath.fsum(kv[1:i + 1]) / (2 * i + 1)
+        return max(mpmath.eigsy(k, eigvals_only=True))
+
+
+class TestRankLadderOracle:
+    @pytest.mark.parametrize("omega_over_t", [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("name", ["einstein", "two-atoms"])
+    def test_k_n_matches_mpmath(self, name, omega_over_t):
+        m = {"einstein": measure.einstein(1.0),
+             "two-atoms": measure.discrete([(0.5, 0.8), (0.5, 1.2)])}[name]
+        t = float(np.max(m.omegas)) / omega_over_t
+        for n in range(1, 9):
+            got = stability.k_numeric(m, t, n).k_value
+            want = _k_oracle(m, t, n)
+            assert abs(got - want) <= 1e-13 * abs(want), (n, got, want)
+
+    def test_rank_four_closed_form_fails_at_the_cold_end(self):
+        with pytest.raises(NumericalError):
+            stability.k_closed_form(measure.einstein(1.0), 1e-4, 4)
 
 
 class TestZeroTemperatureLimit:
