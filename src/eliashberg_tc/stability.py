@@ -139,10 +139,15 @@ def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> K
     Lanczos pair fails its certificate.
 
     The eigenvector is componentwise positive after sign normalization.
-    ``banded`` is passed to :func:`assemble_k`.
+    ``banded`` is passed to :func:`assemble_k`.  Far above the band every
+    kernel average underflows to zero; the top eigenvalue, positive in exact
+    arithmetic, then comes out zero and a :class:`NumericalError` is raised.
     """
     op = assemble_k(m, t, n, banded=banded)
     pair = sym_eig_top(op.matrix)
+    if not 0.0 < pair.value < math.inf:
+        raise NumericalError(f"rank-{n} top eigenvalue {pair.value!r} at temperature {t:.6g} "
+                             "is not finite and positive; no coupling bound follows")
     return KBound(n=n, k_value=pair.value, lambda_upper=1.0 / pair.value, eigvec=pair.vector)
 
 

@@ -143,6 +143,18 @@ class TestLibraryCases:
         assert entry.status == base.status
         assert entry.value == pytest.approx(omega * base.value, rel=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e200, 1.7e308])
+    @pytest.mark.parametrize(
+        "m", [measure.einstein(1.0), measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])],
+        ids=["einstein", "tabulated"])
+    def test_unbanded_temperature_far_above_band(self, m, t):
+        # every kernel average underflows to zero without an overflow warning,
+        # and the zero top eigenvalue is a named error, not a division by zero
+        assert not np.any(m.kernel_values(t, 191))
+        with pytest.raises(NumericalError, match="rank-96 top eigenvalue 0.0"):
+            stability.k_numeric(m, t, 96, banded=False)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_closed_form_hot_end(self, einstein_unit, n):
         # the closed forms under- or overflow long before the eigensolver does

@@ -101,7 +101,60 @@ class TestCrossExpectation:
         assert at_64 == pytest.approx(at_128, rel=1e-6)
 
 
+def dirichlet_reference(theta, n):
+    """The coefficients term by term, one shift k at a time."""
+    th = np.asarray(theta, dtype=float)
+    coeffs = np.zeros(2 * n - 1, dtype=float)
+    for k in range(1, 2 * n):
+        c = 0.0
+        if k <= n - 1:
+            # difference-index kernel plus diagonal drag at shift k
+            tail = th[k:]                      # theta_j for j = k .. N-1
+            c += float(np.sum(2.0 * (th[: n - k] - tail) * tail))
+        # summed-index kernel at j + j' + 1 = k: each unordered off-diagonal
+        # pair once with weight 2, plus the diagonal square at odd k
+        lo = max(0, k - n)
+        if lo < k // 2:
+            j = np.arange(lo, k // 2)
+            c += float(np.sum(2.0 * th[k - 1 - j] * th[j]))
+        if k % 2 == 1:
+            c += float(th[(k - 1) // 2] ** 2)
+        coeffs[k - 1] = c
+    return coeffs
+
+
+DIRICHLET_ORDERS = list(range(1, 65)) + [100, 257, 512]
+RANDOM_PROFILES = {
+    "nonnegative": lambda rng, n: rng.random(n),
+    "signed": lambda rng, n: rng.normal(size=n),
+    "sorted": lambda rng, n: np.sort(rng.random(n))[::-1],
+}
+
+
 class TestDirichletCoefficients:
+    @pytest.mark.parametrize("draw", RANDOM_PROFILES.values(), ids=RANDOM_PROFILES.keys())
+    def test_matches_term_by_term_reference(self, draw):
+        rng = np.random.default_rng(19)
+        for n in DIRICHLET_ORDERS:
+            for _ in range(3):
+                theta = draw(rng, n)
+                got = gamma_model.dirichlet_coefficients(theta, n)
+                want = dirichlet_reference(theta, n)
+                assert got.shape == (2 * n - 1,)
+                assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+    def test_exactly_nonnegative_on_nonincreasing_profiles(self):
+        rng = np.random.default_rng(23)
+        profiles = [np.full(n, c) for n in (1, 2, 7, 64, 512) for c in (0.0, 1e-300, 0.3, 1.0)]
+        for n in DIRICHLET_ORDERS:
+            profiles.append(np.sort(rng.random(n))[::-1])
+            # ties: a few distinct levels, each repeated
+            profiles.append(np.sort(rng.choice(rng.random(3), size=n))[::-1])
+            profiles.append(np.sort(rng.random(n) ** 8)[::-1])
+        for theta in profiles:
+            coeffs = gamma_model.dirichlet_coefficients(theta, theta.size)
+            assert np.all(coeffs >= 0.0), (theta.size, np.min(coeffs))
+
     def test_single_entry(self):
         assert gamma_model.dirichlet_coefficients([1.0], 1).tolist() == [1.0]
 
@@ -115,6 +168,8 @@ class TestDirichletCoefficients:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             gamma_model.dirichlet_coefficients([1.0, 2.0], 3)
+        with pytest.raises(ValidationError, match="order"):
+            gamma_model.dirichlet_coefficients([], 0)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=32),
