@@ -38,6 +38,7 @@ from .bounds import (
     tc_flat,
     tc_sharp,
     tc_tilde,
+    threshold_table,
 )
 from .tc_solver import TcReport, t_star, tc_converged, tc_n
 
@@ -74,6 +75,7 @@ __all__ = [
     "tc_n",
     "tc_sharp",
     "tc_tilde",
+    "threshold_table",
     "validate",
 ]
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .errors import ValidationError
 from .gamma_model import expected_gamma, g_top
 from .measure import SpectralMeasure
-from .numerics import check_scalar, riemann_zeta
+from .numerics import check_rank, check_scalar, riemann_zeta
 from . import stability
 
 #: rank of the gamma-family truncation used for the conjectured bound; the
@@ -56,18 +56,57 @@ def _varpi_squared(m: SpectralMeasure, t: float) -> float:
     return m.moment(2) / (2.0 * math.pi * t) ** 2
 
 
+def _k_star(k1: float, varpi2: float) -> float:
+    return k1 + bound_constants().b * varpi2
+
+
+def _k_sharp(varpi2: float) -> float:
+    return varpi2 / (varpi2 + 1.0) + bound_constants().b * varpi2
+
+
 def k_star(m: SpectralMeasure, t: float) -> float:
     """Upper bound on the stability eigenvalue: the rank-one average plus
     the zeta-weighted tail estimate.  Dominates every finite-rank value."""
-    return m.kernel_average(1, t).value + bound_constants().b * _varpi_squared(m, t)
+    return _k_star(m.kernel_average(1, t).value, _varpi_squared(m, t))
 
 
 def k_sharp(m: SpectralMeasure, t: float) -> float:
     """Weaker upper bound obtained by averaging inside the rank-one term
     (concavity), so only the second moment of the measure enters.  Ties
     ``k_star`` exactly for a single-atom measure."""
-    v = _varpi_squared(m, t)
-    return v / (v + 1.0) + bound_constants().b * v
+    return _k_sharp(_varpi_squared(m, t))
+
+
+class ThresholdTable(NamedTuple):
+    """The chain k_1 <= k_2 <= k_3 <= k_4, k_N <= k_star <= k_sharp at one
+    temperature: ranks one to four by closed form, rank N by eigensolver."""
+
+    closed: tuple[stability.KBound, ...]
+    numeric: stability.KBound
+    k_star: float
+    k_sharp: float
+
+
+def threshold_table(m: SpectralMeasure, t: float, n: int) -> ThresholdTable:
+    """Every threshold bound at temperature ``t`` from one kernel pass.
+
+    Each rank-r truncation is the leading r x r block of every larger one,
+    so one assembly at rank max(N, 4) serves all of them: the closed forms
+    (:func:`stability.closed_form_bound`) read its blocks of order one to
+    four, the eigensolver (:func:`stability.eigensolver_bound`) its block of
+    order N, and ``k_star`` its cached <<1>>.  The values are those of
+    :func:`stability.k_closed_form`, :func:`stability.k_numeric`,
+    :func:`k_star` and :func:`k_sharp`: bitwise for atom measures, to a few
+    units in the last place for tabulated ones, whose averages are summed
+    in a different grouping at a different count.
+    """
+    check_scalar("temperature", t)
+    n = check_rank("order", n)
+    op = stability.assemble_k(m, t, max(n, 4))
+    closed = tuple(stability.closed_form_bound(op.matrix[:r, :r]) for r in (1, 2, 3, 4))
+    numeric = stability.eigensolver_bound(op.matrix[:n, :n], t)
+    varpi2 = _varpi_squared(m, t)
+    return ThresholdTable(closed, numeric, _k_star(float(op.kernel[1]), varpi2), _k_sharp(varpi2))
 
 
 def tc_sharp(m: SpectralMeasure, lam: float) -> float:

@@ -42,24 +42,21 @@ def _fmt(x: Optional[float]) -> str:
 
 
 def cmd_bounds(args) -> int:
+    """Print the threshold table of :func:`bounds.threshold_table`: the
+    closed-form ranks one to four, rank ``--max-n`` by eigensolver,
+    ``k_star`` and ``k_sharp``, then their reciprocals, all from one
+    truncation assembled at the larger rank."""
     m = measure.load(args.measure_file)
     t = args.temperature
-    n_big = args.max_n
-    closed = [stability.k_closed_form(m, t, n) for n in (1, 2, 3, 4)]
-    k_numeric = stability.k_numeric(m, t, n_big)
-    star = bounds.k_star(m, t)
-    sharp = bounds.k_sharp(m, t)
-    rows = [(f"k_{k.n} (closed form)", k.k_value, "lower bound on k", "proven")
-            for k in closed]
-    rows.append((f"k_{n_big} (eigensolver)", k_numeric.k_value, "lower bound on k", "proven"))
-    rows.append(("k_star (spectral estimate)", star, "upper bound on k", "proven"))
-    rows.append(("k_sharp (moment only)", sharp, "upper bound on k", "proven"))
+    table = bounds.threshold_table(m, t, args.max_n)
+    routes = [(k, "closed form") for k in table.closed] + [(table.numeric, "eigensolver")]
+    rows = [(f"k_{k.n} ({route})", k.k_value, "lower bound on k", "proven") for k, route in routes]
+    rows.append(("k_star (spectral estimate)", table.k_star, "upper bound on k", "proven"))
+    rows.append(("k_sharp (moment only)", table.k_sharp, "upper bound on k", "proven"))
     rows.extend((f"Lambda_{k.n} = 1/k_{k.n}", k.lambda_upper, "upper bound on Lambda", "proven")
-                for k in closed)
-    rows.append((f"Lambda_{n_big} = 1/k_{n_big}", k_numeric.lambda_upper,
-                 "upper bound on Lambda", "proven"))
-    rows.append(("1/k_star", 1.0 / star, "lower bound on Lambda", "proven"))
-    rows.append(("1/k_sharp", 1.0 / sharp, "lower bound on Lambda", "proven"))
+                for k, _ in routes)
+    rows.append(("1/k_star", 1.0 / table.k_star, "lower bound on Lambda", "proven"))
+    rows.append(("1/k_sharp", 1.0 / table.k_sharp, "lower bound on Lambda", "proven"))
     print(f"# measure: {m.describe()}   temperature: {_fmt(t)}")
     width = max(len(r[0]) for r in rows)
     for name, value, kind, status in rows:

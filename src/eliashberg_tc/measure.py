@@ -12,7 +12,8 @@ from the elementary antiderivatives on each linear segment, arranged to
 avoid cancellation, or, once 2 n pi T >= 4 omega_max, from the alternating
 series in the even moments; both are accurate to about 1e-14 relative.
 Measures are immutable after construction, so all reads are safe
-concurrently.
+concurrently; the one memo, of moments, only ever gains the value any
+reader would compute.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ class SpectralMeasure:
     segments: np.ndarray | None = field(init=False, repr=False, compare=False)
     # even moments <w^2>..<w^(2*_MOMENT_TERMS)> in units of omega_max (tabulated)
     _even_moments: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # moment(k) by k, filled on first request
+    _moment_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         check_scalar("highest frequency", self.omega_max)
@@ -139,11 +142,16 @@ class SpectralMeasure:
     # -- moments -----------------------------------------------------------
 
     def moment(self, k: int) -> float:
-        """k-th moment <w^k> of the measure, exact up to rounding."""
-        check_rank("moment order", k, 0)
-        if self.kind in ("einstein", "discrete"):
-            return float(np.sum(self.weights * self.omegas ** k))
-        return float(_moments(self.segments, k)[k])
+        """k-th moment <w^k> of the measure, exact up to rounding; computed
+        once per measure and order."""
+        k = check_rank("moment order", k, 0)
+        memo = self._moment_memo
+        if k not in memo:
+            if self.kind in ("einstein", "discrete"):
+                memo[k] = float(np.sum(self.weights * self.omegas ** k))
+            else:
+                memo[k] = float(_moments(self.segments, k)[k])
+        return memo[k]
 
     # -- kernel averages ----------------------------------------------------
 
@@ -200,7 +208,11 @@ class SpectralMeasure:
         out = np.zeros(count + 1, dtype=float)
         if self.kind in ("einstein", "discrete"):
             q = c[:, None] / self.omegas[None, :]
-            root = q / (1.0 + q * q)  # sqrt(x (1 - x)), free of over- and underflow
+            # sqrt(x (1 - x)) = q / (1 + q^2), unchanged by q -> 1/q: taking
+            # the smaller of the two keeps q^2 from overflowing, and q = inf
+            # (t beyond 1e307) gives the exact limit 0
+            p = np.minimum(q, 1.0 / q)
+            root = p / (1.0 + p * p)
             out[1:] = -(root * root) @ self.weights
             return out
         offsets = c / self.omega_max

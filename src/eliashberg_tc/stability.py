@@ -143,12 +143,18 @@ def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> K
     kernel average underflows to zero; the top eigenvalue, positive in exact
     arithmetic, then comes out zero and a :class:`NumericalError` is raised.
     """
-    op = assemble_k(m, t, n, banded=banded)
-    pair = sym_eig_top(op.matrix)
+    return eigensolver_bound(assemble_k(m, t, n, banded=banded).matrix, t)
+
+
+def eigensolver_bound(mat: np.ndarray, t: float) -> KBound:
+    """:class:`KBound` of a truncation at temperature ``t`` (named in the
+    error) from :func:`sym_eig_top`, with its positive top eigenvector."""
+    pair = sym_eig_top(mat)
     if not 0.0 < pair.value < math.inf:
-        raise NumericalError(f"rank-{n} top eigenvalue {pair.value!r} at temperature {t:.6g} "
-                             "is not finite and positive; no coupling bound follows")
-    return KBound(n=n, k_value=pair.value, lambda_upper=1.0 / pair.value, eigvec=pair.vector)
+        raise NumericalError(f"rank-{len(mat)} top eigenvalue {pair.value!r} at temperature "
+                             f"{t:.6g} is not finite and positive; no coupling bound follows")
+    return KBound(n=len(mat), k_value=pair.value, lambda_upper=1.0 / pair.value,
+                  eigvec=pair.vector)
 
 
 def k_slope(m: SpectralMeasure, t: float, vector: np.ndarray) -> float:
@@ -187,36 +193,36 @@ def k_limit_T0(n: int) -> ZeroTemperatureLimit:
 
 # -- closed forms for ranks one to four --------------------------------------
 
-
-def _clamped_arccos(x: float, slack: float = 1e-12) -> float:
-    if abs(x) > 1.0 + slack:
-        raise NumericalError(
-            f"arccos argument {x!r} outside [-1, 1] beyond tolerance; the "
-            "spectrum is too degenerate for the closed form in double "
-            "precision (extreme dimensionless frequency) -- use the "
-            "eigensolver route"
-        )
-    return math.acos(float(np.clip(x, -1.0, 1.0)))
+# The closed-form root must move by less than this share under one Newton step
+# on the characteristic polynomial it solves.
+_CERTIFY_REL = 1e-12
 
 
-def _top_root_rank3(mat: np.ndarray) -> float:
+def _arccos_third(x: float) -> float:
+    """cos(arccos(x)/3), with rounding-level excursions of x beyond
+    [-1, 1] clamped; the root certificate judges what the clamp costs."""
+    return math.cos(math.acos(min(1.0, max(-1.0, x))) / 3.0)
+
+
+def _top_root_rank3(mat: np.ndarray) -> tuple[float, tuple[float, ...]]:
     tr = float(np.trace(mat))
     # trace of the adjugate = sum of principal 2x2 minors
     tr_adj = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
         tr_adj += mat[i, i] * mat[j, j] - mat[i, j] * mat[j, i]
     det = float(np.linalg.det(mat))
+    coeffs = (1.0, -tr, tr_adj, -det)
     p = tr * tr / 3.0 - tr_adj
-    if p <= 0.0:
+    if p ** 3 <= 0.0:
         # all eigenvalues coincide; cannot happen with positive couplings,
         # but keep the algebraically exact answer
-        return tr / 3.0
+        return tr / 3.0, coeffs
     q = 2.0 * tr ** 3 / 27.0 - tr * tr_adj / 3.0 + det
-    angle = _clamped_arccos(0.5 * q * math.sqrt(27.0 / p ** 3))
-    return (tr + 6.0 * math.sqrt(p / 3.0) * math.cos(angle / 3.0)) / 3.0
+    cos_third = _arccos_third(0.5 * q * math.sqrt(27.0 / p ** 3))
+    return (tr + 6.0 * math.sqrt(p / 3.0) * cos_third) / 3.0, coeffs
 
 
-def _top_root_rank4(mat: np.ndarray) -> float:
+def _top_root_rank4(mat: np.ndarray) -> tuple[float, tuple[float, ...]]:
     tr1 = float(np.trace(mat))
     m2 = mat @ mat
     tr2 = float(np.trace(m2))
@@ -226,63 +232,92 @@ def _top_root_rank4(mat: np.ndarray) -> float:
     c = -(tr1 ** 3 - 3.0 * tr2 * tr1 + 2.0 * tr3) / 6.0
     d = float(np.linalg.det(mat))
     x = 2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * c * c + 27.0 * a * a * d - 72.0 * b * d
-    y = b * b - 3.0 * a * c + 12.0 * d
-    if y <= 0.0:
-        raise NumericalError(f"resolvent-cubic discriminant quantity is nonpositive: {y!r}")
-    angle = _clamped_arccos(x / (2.0 * math.sqrt(y ** 3)))
-    z = (math.sqrt(y) * math.cos(angle / 3.0) - b + 0.375 * a * a) / 3.0
-    if z <= 0.0:
-        raise NumericalError(f"resolvent-cubic root is nonpositive: {z!r}")
+    # y vanishes where three eigenvalues coincide (the zero-temperature
+    # limit); rounding may leave it slightly negative there
+    y = max(b * b - 3.0 * a * c + 12.0 * d, 0.0)
+    y3 = math.sqrt(y ** 3)
+    cos_third = _arccos_third(x / (2.0 * y3)) if y3 > 0.0 else 1.0
+    z = max((math.sqrt(y) * cos_third - b + 0.375 * a * a) / 3.0, 0.0)
     # z/2 is the largest zero of the resolvent cubic; the largest quartic
     # root pairs sqrt(z/2) with the radical whose depressed-quartic linear
     # coefficient (a^3 - 4ab + 8c)/8 enters with a minus sign -- the
     # opposite choice breaks the sign-parity constraint among the three
-    # square roots and is not a root at all.
-    inner = (
-        0.1875 * a * a
-        - 0.5 * b
-        - 0.5 * z
-        - (a ** 3 - 4.0 * a * b + 8.0 * c) / (16.0 * math.sqrt(2.0 * z))
-    )
-    if inner < 0.0:
-        if inner < -1e-10 * max(1.0, a * a):
-            raise NumericalError(f"quartic radical argument is negative: {inner!r}")
-        inner = 0.0
-    return math.sqrt(0.5 * z) + math.sqrt(inner) - 0.25 * a
+    # square roots and is not a root at all.  That coefficient vanishes
+    # with z.
+    linear = (a ** 3 - 4.0 * a * b + 8.0 * c) / (16.0 * math.sqrt(2.0 * z)) if z > 0.0 else 0.0
+    inner = max(0.1875 * a * a - 0.5 * b - 0.5 * z - linear, 0.0)
+    return math.sqrt(0.5 * z) + math.sqrt(inner) - 0.25 * a, (1.0, a, b, c, d)
+
+
+def _newton_correction(root: float, coeffs: tuple[float, ...]) -> float:
+    """One Newton step p(root)/p'(root) on the polynomial with ``coeffs``
+    (highest power first), by Horner's rule for both."""
+    p = dp = 0.0
+    for coeff in coeffs:
+        dp = dp * root + p
+        p = p * root + coeff
+    if p == 0.0:
+        return 0.0
+    return p / dp if dp != 0.0 else math.inf
+
+
+def closed_form_bound(mat: np.ndarray) -> KBound:
+    """:class:`KBound` of a real symmetric matrix of order one to four, its
+    top eigenvalue by the explicit spectral formulas (linear, quadratic,
+    trigonometric cubic, quartic via its resolvent cubic), with no
+    eigenvector.
+
+    The matrix is first scaled by 2^-e, with e the binary exponent of its
+    largest entry magnitude.  Every formula is homogeneous in the entries,
+    so the scaling is exact wherever nothing under- or overflows and only
+    keeps the traces, determinant and resolvent quantities in range at
+    extreme temperatures.  Rounding-level excursions of the arccos argument
+    and of the radicands are clamped, and the root is certified instead:
+    one Newton step on the characteristic polynomial, from the coefficients
+    the formula already formed, must move it by less than 1e-12 of itself,
+    or a :class:`NumericalError` is raised.  The step is a check only; the
+    returned root is the formula's.
+    """
+    order = len(mat)
+    if order == 1:
+        value = float(mat[0, 0])
+    else:
+        exponent = math.frexp(float(np.max(np.abs(mat))))[1]
+        scaled = np.ldexp(mat, -exponent)
+        if order == 2:
+            tr = float(scaled[0, 0] + scaled[1, 1])
+            det = float(scaled[0, 0] * scaled[1, 1] - scaled[0, 1] * scaled[1, 0])
+            root = 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
+            coeffs = (1.0, -tr, det)
+        elif order == 3:
+            root, coeffs = _top_root_rank3(scaled)
+        else:
+            root, coeffs = _top_root_rank4(scaled)
+        value = math.ldexp(root, exponent)
+        correction = _newton_correction(root, coeffs)
+        if not abs(correction) <= _CERTIFY_REL * abs(root):
+            raise NumericalError(f"rank-{order} closed-form root {value!r} fails its "
+                                 "certificate: a Newton step moves it by "
+                                 f"{math.ldexp(abs(correction), exponent):.3g}")
+    if not 0.0 < value < math.inf:
+        raise NumericalError(f"rank-{order} closed-form top eigenvalue {value!r} is not "
+                             "finite and positive; no coupling bound follows")
+    return KBound(n=order, k_value=value, lambda_upper=1.0 / value, eigvec=None)
 
 
 def k_closed_form(m: SpectralMeasure, t: float, n: int) -> KBound:
     """Top eigenvalue of the rank-N truncation, N in {1, 2, 3, 4}, by the
-    explicit spectral formulas (linear / quadratic / trigonometric cubic /
-    quartic via its resolvent cubic).  Agrees with the dense eigensolver to
-    ten digits relative; the two routes check each other in the test suite.
+    explicit spectral formulas of :func:`closed_form_bound`, independent of
+    the eigensolver.
 
-    The rank-four resolvent degenerates in double precision once the lower
-    eigenvalues cluster toward the zero-temperature limit (dimensionless
-    frequency beyond roughly 5e2); it then raises a named numerical error
-    rather than returning a noise-dominated root.  At the hot end (omega/T
-    below about 1e-12 at rank four, 1e-24 at rank three) the formulas under-
-    or overflow and raise a named numerical error as well.  The eigensolver
-    route is stable at every temperature.
+    Answers at every in-band temperature (omega/T from 1e-60 to 1e60): it
+    agrees with a 50-digit oracle to 1e-13 relative there, and with the
+    eigensolver route to 1e-10 in the invariant suite.  A root that fails
+    its Newton certificate raises a :class:`NumericalError` instead of
+    returning a noise-dominated value.
     """
     check_rank("closed-form rank", n, 1, 4)
-    mat = assemble_k(m, t, n).matrix
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            if n == 1:
-                value = float(mat[0, 0])
-            elif n == 2:
-                tr = float(mat[0, 0] + mat[1, 1])
-                det = float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-                value = 0.5 * (tr + math.sqrt(tr * tr - 4.0 * det))
-            elif n == 3:
-                value = _top_root_rank3(mat)
-            else:
-                value = _top_root_rank4(mat)
-            return KBound(n=n, k_value=value, lambda_upper=1.0 / value, eigvec=None)
-    except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
-        raise NumericalError(f"rank-{n} closed form fails in double precision at "
-                             f"temperature {t:.6g} ({exc}); use the eigensolver route") from exc
+    return closed_form_bound(assemble_k(m, t, n).matrix)
 
 
 def lambda2_closed(m: SpectralMeasure, t: float) -> float:

@@ -322,14 +322,23 @@ def check_T_monotone_above_threshold(fast: bool) -> str:
 def check_closed_vs_eig(fast: bool) -> str:
     varpis = (0.05, 0.5, 1.0, 5.0, 20.0) if fast else tuple(np.geomspace(0.05, 20.0, 20))
     t = 1.0 / (2.0 * math.pi)
-    for varpi in varpis:
-        m = measure.einstein(float(varpi))
+    samples = [(measure.einstein(float(varpi)), t) for varpi in varpis]
+    # temperatures across the band: the lower eigenvalues cluster at the cold
+    # end, the unscaled resolvent quantities under- or overflow at the hot end
+    measures = (_EINSTEIN, _TWO_ATOMS, _TRIANGLE)
+    if fast:
+        samples += list(zip(measures, (1e-4, 1e-25, 1e25)))
+    else:
+        samples += [(m, 10.0 ** k) for m in measures for k in range(-30, 31)]
+    for m, t in samples:
+        # both routes on the leading blocks of one rank-four truncation
+        mat = stability.assemble_k(m, t, 4).matrix
         for n in (1, 2, 3, 4):
-            closed = stability.k_closed_form(m, t, n).k_value
-            eig = stability.k_numeric(m, t, n).k_value
+            closed = stability.closed_form_bound(mat[:n, :n]).k_value
+            eig = stability.eigensolver_bound(mat[:n, :n], t).k_value
             _require(abs(closed - eig) <= 1e-10 * abs(eig),
-                     f"varpi={varpi} N={n}: {closed!r} vs {eig!r}")
-    return f"{len(varpis)} frequencies x ranks 1..4"
+                     f"{m.describe()} T={t:.6g} N={n}: {closed!r} vs {eig!r}")
+    return f"{len(samples)} measure-temperature pairs, ranks 1..4"
 
 
 def check_sandwich(fast: bool) -> str:
@@ -339,9 +348,9 @@ def check_sandwich(fast: bool) -> str:
     for m in measures:
         for t in temps:
             t = float(t)
-            ks = [stability.k_closed_form(m, t, n).k_value for n in (1, 2, 3, 4)]
-            ks.append(stability.k_numeric(m, t, big_n).k_value)
-            chain = ks + [bounds.k_star(m, t), bounds.k_sharp(m, t)]
+            table = bounds.threshold_table(m, t, big_n)
+            ks = [k.k_value for k in (*table.closed, table.numeric)]
+            chain = ks + [table.k_star, table.k_sharp]
             for a, b in zip(chain, chain[1:]):
                 _require(b >= a - 1e-12 * max(1.0, abs(a)), f"{m.describe()} T={t}: {a!r} > {b!r}")
             _require(all(x < y for x, y in zip(ks, ks[1:])),

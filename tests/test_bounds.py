@@ -178,3 +178,44 @@ class TestSandwich:
         for n in (1, 2, 4, 16):
             upper = stability.k_numeric(two_atoms, t, n).lambda_upper
             assert lower <= mid <= upper
+
+
+class TestThresholdTable:
+    @pytest.mark.parametrize("t_over_edge", [1e-4, 1e-3, 0.01, 0.1, 0.5, 2.0, 30.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 4, 9, 64])
+    def test_agrees_with_the_four_wrappers(self, einstein_unit, two_atoms, triangle,
+                                           t_over_edge, n):
+        for m in (einstein_unit, two_atoms, triangle):
+            # bitwise for atoms; tabulated averages are summed in another grouping
+            rel = 1e-14 if m.kind == "tabulated" else 0.0
+            t = t_over_edge * m.omega_max
+            table = bounds.threshold_table(m, t, n)
+            for r, k in zip((1, 2, 3, 4), table.closed):
+                want = stability.k_closed_form(m, t, r)
+                assert k.n == r and k.eigvec is None
+                assert k.k_value == pytest.approx(want.k_value, rel=rel, abs=0.0)
+                assert k.lambda_upper == pytest.approx(want.lambda_upper, rel=rel, abs=0.0)
+            want = stability.k_numeric(m, t, n)
+            assert table.numeric.n == n
+            assert table.numeric.k_value == pytest.approx(want.k_value, rel=rel, abs=0.0)
+            assert np.allclose(table.numeric.eigvec, want.eigvec, rtol=0.0, atol=1e-12)
+            assert table.k_star == pytest.approx(bounds.k_star(m, t), rel=rel, abs=0.0)
+            assert table.k_sharp == pytest.approx(bounds.k_sharp(m, t), rel=rel, abs=0.0)
+
+    def test_one_kernel_pass(self, triangle, monkeypatch):
+        calls = []
+        kernel_values = measure.SpectralMeasure.kernel_values
+
+        def counted(self, t, count):
+            calls.append(count)
+            return kernel_values(self, t, count)
+
+        monkeypatch.setattr(measure.SpectralMeasure, "kernel_values", counted)
+        bounds.threshold_table(triangle, 0.2, 2)
+        assert calls == [7]  # <<1>> .. <<7>> for the rank-four truncation
+
+    @pytest.mark.parametrize("args, match", [((-1.0, 4), "temperature"), ((0.2, 0), "order"),
+                                             ((0.2, 4.0), "order"), ((1e31, 0), "temperature")])
+    def test_domain(self, einstein_unit, args, match):
+        with pytest.raises(ValidationError, match=match):
+            bounds.threshold_table(einstein_unit, *args)

@@ -2,8 +2,10 @@
 coupling, exponent, scale, tolerance, rank and order, regression cases for
 inputs that escaped it, and a property over the public entry points."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import math
 
 import mpmath
@@ -157,10 +159,22 @@ class TestLibraryCases:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_closed_form_hot_end(self, einstein_unit, n):
-        # the closed forms under- or overflow long before the eigensolver does
-        with pytest.raises(NumericalError, match=f"rank-{n} closed form"):
-            stability.k_closed_form(einstein_unit, MAX_MAGNITUDE, n)
-        assert stability.k_numeric(einstein_unit, MAX_MAGNITUDE, n).k_value > 0.0
+        # entries near 1e-62 once under- and overflowed the traces and the
+        # determinant; the closed form now scales them into range first
+        closed = stability.k_closed_form(einstein_unit, MAX_MAGNITUDE, n).k_value
+        eig = stability.k_numeric(einstein_unit, MAX_MAGNITUDE, n).k_value
+        assert 0.0 < eig and closed == pytest.approx(eig, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e200, 1.7e308])
+    @pytest.mark.parametrize(
+        "m", [measure.einstein(1.0), measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])],
+        ids=["einstein", "tabulated"])
+    def test_kernel_slopes_far_above_band(self, m, t):
+        # q * q overflowed at 1e200 and q = inf gave inf / inf at 1.7e308;
+        # every slope is -(omega / (2 pi n T))^2 to leading order, so zero here
+        slopes = m.kernel_slopes(t, 3)
+        assert np.all(np.isfinite(slopes)) and not np.any(slopes)
 
 
 @pytest.fixture
@@ -269,6 +283,8 @@ def _numbers(result):
         return [x for f in dataclasses.fields(result) for x in _numbers(getattr(result, f.name))]
     if isinstance(result, (tuple, list)):
         return [x for item in result for x in _numbers(item)]
+    if isinstance(result, dict):
+        return [x for item in result.values() for x in _numbers(item)]
     if isinstance(result, np.ndarray):
         return result.ravel().tolist()
     return [result]
@@ -302,6 +318,14 @@ def test_k_numeric_scaling_covariance(m, log_s, log_t, n):
     assert stability.k_numeric(m.scaled(s), s * t, n).k_value == pytest.approx(base, rel=1e-9)
 
 
+@given(SCALED, st.floats(-25.0, 25.0), st.floats(-30.0, 30.0), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_closed_forms_match_eigensolver_across_the_band(m, log_s, log_t, n):
+    m, t = m.scaled(10.0 ** log_s), min(max(10.0 ** log_t, MIN_MAGNITUDE), MAX_MAGNITUDE)
+    eig = stability.k_numeric(m, t, n).k_value
+    assert stability.k_closed_form(m, t, n).k_value == pytest.approx(eig, rel=1e-12, abs=0.0)
+
+
 @given(SCALED, st.floats(-20.0, 20.0), st.floats(-0.3, 3.0), st.integers(1, 8))
 @settings(max_examples=30, deadline=None)
 def test_tc_n_scaling_covariance(m, log_s, log_lam, n):
@@ -313,3 +337,42 @@ def test_tc_n_scaling_covariance(m, log_s, log_lam, n):
         assert moved.value is None
     else:
         assert moved.value == pytest.approx(s * base.value, rel=1e-9)
+
+
+# -- the bounds table at every in-band temperature -----------------------------
+
+MEASURE_FILES = {
+    "einstein": '{"type":"einstein","omega":1.0}',
+    "discrete": '{"type":"discrete","atoms":[{"weight":0.5,"omega":0.8},'
+                '{"weight":0.5,"omega":1.2}]}',
+    "tabulated": '{"type":"tabulated","nodes":[[0.0,0.0],[0.5,2.0],[1.0,0.0]]}',
+}
+
+
+@pytest.fixture(scope="module")
+def measure_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("measures")
+    paths = {}
+    for kind, text in MEASURE_FILES.items():
+        paths[kind] = directory / f"{kind}.json"
+        paths[kind].write_text(text, encoding="utf-8")
+    return paths
+
+
+@given(st.sampled_from(sorted(MEASURE_FILES)), st.floats(-30.0, 30.0))
+@settings(max_examples=60, deadline=None)
+def test_bounds_answers_at_every_in_band_temperature(measure_files, kind, log_t):
+    # the closed forms once raised at the cold end (omega/T above ~3e3) and
+    # at the hot end; every row is printed now, and rank four agrees with
+    # the eigensolver wherever both are printed
+    t = min(max(10.0 ** log_t, MIN_MAGNITUDE), MAX_MAGNITUDE)
+    argv = ["bounds", str(measure_files[kind]), "--temperature", repr(t), "--max-n", "4"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 0
+    assert err.getvalue() == ""
+    rows = [line.split("  [")[0].rsplit(None, 1) for line in out.getvalue().splitlines()[1:]]
+    values = {name.strip(): float(value) for name, value in rows}
+    assert len(rows) == 14
+    closed, eig = values["k_4 (closed form)"], values["k_4 (eigensolver)"]
+    assert closed == pytest.approx(eig, rel=2e-12, abs=0.0)

@@ -231,6 +231,21 @@ class TestMoments:
         for k in (0, 1, 3, 5, 9, 30):
             assert ramp.moment(k) == pytest.approx(2.0 / (k + 2), rel=1e-14)
 
+    def test_memoised_values_are_the_direct_ones_bitwise(self, two_atoms, triangle):
+        # the memo returns exactly what the direct evaluation gives, on the
+        # first request and every later one, whatever integer type asks
+        for m in (measure.einstein(1.7), two_atoms, triangle):
+            for k in (0, 1, 2, 4, 7):
+                if m.kind == "tabulated":
+                    direct = float(measure._moments(m.segments, k)[k])
+                else:
+                    direct = float(np.sum(m.weights * m.omegas ** k))
+                assert m.moment(k) == direct
+                assert m.moment(np.int64(k)) == direct
+                assert m.moment(k) == direct
+        assert sorted(triangle._moment_memo) == [0, 1, 2, 4, 7]
+        assert triangle.scaled(2.0).moment(2) == pytest.approx(4.0 * triangle.moment(2), rel=1e-14)
+
 
 class TestKernelAverage:
     def test_varpi_one_values(self):

@@ -109,6 +109,23 @@ class TestAssembly:
             stability.assemble_k(m, 1.0, 0)
 
 
+class TestNestedBlocks:
+    # each rank-n truncation is the leading n x n block of every larger one
+    @pytest.mark.parametrize("t", [1e-4, 0.013, 0.2, 1.0, 30.0, 1e3])
+    def test_leading_blocks_are_the_smaller_truncations(self, t, two_atoms, triangle):
+        atoms = (measure.einstein(1.0), two_atoms,
+                 measure.discrete([(0.2, 0.5), (0.5, 1.0), (0.3, 2.0)]))
+        for m in atoms + (triangle,):
+            big = stability.assemble_k(m, t, 64).matrix
+            for n in (1, 2, 3, 4, 5, 16, 33, 63):
+                small = stability.assemble_k(m, t, n).matrix
+                if m.kind == "tabulated":
+                    # averages summed at another count agree to rounding
+                    assert np.all(np.abs(big[:n, :n] - small) <= 4e-15 * np.abs(small)), n
+                else:
+                    assert np.array_equal(big[:n, :n], small), (m.describe(), n)
+
+
 class TestClosedForms:
     def test_rank_one(self):
         m, t = varpi_atom(1.0)
@@ -147,19 +164,30 @@ class TestClosedForms:
         with pytest.raises(ValidationError):
             stability.k_closed_form(m, t, 5)
 
-    def test_degenerate_regime_fails_loudly_while_eigensolver_survives(self):
+    def test_degenerate_regime_matches_oracle_and_eigensolver(self):
         # near the zero-temperature limit the lower eigenvalues cluster and
-        # the resolvent-based closed forms lose the arccos argument to
-        # roundoff; the contract is a named numerical error, never a quiet
-        # wrong number, and the dense route stays accurate
-        from eliashberg_tc.errors import NumericalError
-
+        # the arccos argument of the resolvent leaves [-1, 1] by rounding;
+        # clamped and certified, the closed form still meets the oracle
         m = measure.einstein(1.0)
         t = 1e-5
-        with pytest.raises(NumericalError, match="arccos"):
-            stability.k_closed_form(m, t, 4)
+        closed = stability.k_closed_form(m, t, 4).k_value
+        assert abs(closed - _k_oracle(m, t, 4)) <= 1e-13 * closed
         got = stability.k_numeric(m, t, 4).k_value
         assert got == pytest.approx(stability.k_limit_T0(4).k0, abs=1e-6)
+        assert closed == pytest.approx(got, rel=1e-13)
+
+    def test_certificate_rejects_a_wrong_root(self, monkeypatch):
+        # a formula root off by 1e-9 fails its Newton certificate
+        m, t = varpi_atom(1.0)
+        rank4 = stability._top_root_rank4
+
+        def nudged(mat):
+            root, coeffs = rank4(mat)
+            return root * (1.0 + 1e-9), coeffs
+
+        monkeypatch.setattr(stability, "_top_root_rank4", nudged)
+        with pytest.raises(NumericalError, match="fails its certificate"):
+            stability.k_closed_form(m, t, 4)
 
 
 class TestNumericEigenvalue:
@@ -217,9 +245,26 @@ class TestRankLadderOracle:
             want = _k_oracle(m, t, n)
             assert abs(got - want) <= 1e-13 * abs(want), (n, got, want)
 
-    def test_rank_four_closed_form_fails_at_the_cold_end(self):
-        with pytest.raises(NumericalError):
-            stability.k_closed_form(measure.einstein(1.0), 1e-4, 4)
+    def test_rank_four_closed_form_matches_oracle_at_the_cold_end(self):
+        m = measure.einstein(1.0)
+        got = stability.k_closed_form(m, 1e-4, 4).k_value
+        want = _k_oracle(m, 1e-4, 4)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    # omega_max / T = 10**log_ratio across the band; the frequencies scale
+    # with 10**(log_ratio/2) and T with its inverse, so both stay inside it
+    @pytest.mark.parametrize("name, log_ratio",
+                             [("einstein", k) for k in range(-60, 61, 10)]
+                             + [("two-atoms", k) for k in range(-59, 60, 10)])
+    def test_closed_forms_match_mpmath_across_the_band(self, name, log_ratio):
+        s = 10.0 ** (log_ratio / 2.0)
+        m = (measure.einstein(s) if name == "einstein"
+             else measure.discrete([(0.5, 0.8 * s), (0.5, 1.2 * s)]))
+        t = (1.0 if name == "einstein" else 1.2) * 10.0 ** (-log_ratio / 2.0)
+        for n in (3, 4):
+            got = stability.k_closed_form(m, t, n).k_value
+            want = _k_oracle(m, t, n)
+            assert abs(got - want) <= 1e-13 * abs(want), (n, got, want)
 
 
 class TestZeroTemperatureLimit:
