@@ -29,7 +29,7 @@ for m in (atom, mixture, density):
 print("\nTemperature limits of <<1>>:")
 for t in (0.01, 0.1, 1.0, 10.0, 100.0):
     print(f"  T = {t:7.2f}: " + "  ".join(
-        f"{m.kernel_average(1, t).value:.8f}" for m in (atom, mixture, density)))
+        f"{m.kernel_average(1, t):.8f}" for m in (atom, mixture, density)))
 print("  (-> 1 as T -> 0, -> <w^2>/(2 pi T)^2 -> 0 as T -> infinity)")
 
 # the same measures are read from JSON files by the CLI:
@@ -39,8 +39,8 @@ print('  {"type":"discrete","atoms":[{"weight":0.5,"omega":0.8},{"weight":0.5,"o
 print('  {"type":"tabulated","nodes":[[0.0,0.0],[0.5,2.0],[1.0,0.0]]}')
 
 # scaling all frequencies by s and the temperature by s changes nothing:
-base = mixture.kernel_average(3, 0.2).value
-moved = mixture.scaled(2.0).kernel_average(3, 0.4).value
+base = mixture.kernel_average(3, 0.2)
+moved = mixture.scaled(2.0).kernel_average(3, 0.4)
 print(f"\nScale covariance: <<3>>(P, T) = {base:.12f}, "
       f"<<3>>(2P, 2T) = {moved:.12f}")
 assert np.isclose(base, moved, rtol=1e-13)

@@ -37,10 +37,11 @@ from .bounds import (
     tc_asymptotic,
     tc_flat,
     tc_sharp,
+    t_star,
     tc_tilde,
     threshold_table,
 )
-from .tc_solver import TcReport, t_star, tc_converged, tc_n
+from .tc_solver import TcReport, tc_converged, tc_n
 
 __all__ = [
     "BracketError",

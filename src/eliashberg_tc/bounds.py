@@ -67,7 +67,7 @@ def _k_sharp(varpi2: float) -> float:
 def k_star(m: SpectralMeasure, t: float) -> float:
     """Upper bound on the stability eigenvalue: the rank-one average plus
     the zeta-weighted tail estimate.  Dominates every finite-rank value."""
-    return _k_star(m.kernel_average(1, t).value, _varpi_squared(m, t))
+    return _k_star(m.kernel_average(1, t), _varpi_squared(m, t))
 
 
 def k_sharp(m: SpectralMeasure, t: float) -> float:
@@ -154,14 +154,16 @@ class LambdaStarBounds(NamedTuple):
     easy: float
 
 
-def t_star_threshold(m: SpectralMeasure) -> float:
-    """Temperature above which monotone decrease of the stability eigenvalue
-    in T is guaranteed: support edge over 2 sqrt(2) pi."""
+def t_star(m: SpectralMeasure) -> float:
+    """Conservative monotonicity threshold: the temperature above which the
+    stability eigenvalue is proven to decrease in T, support edge over
+    2 sqrt(2) pi.  The sharp threshold is unknown; this proven bound is what
+    the ladder's status labels are judged against."""
     return m.omega_max / (2.0 * math.sqrt(2.0) * math.pi)
 
 
 def lambda_star_bounds(m: SpectralMeasure) -> LambdaStarBounds:
-    strong = 1.0 / stability.k_closed_form(m, t_star_threshold(m), 4).k_value
+    strong = 1.0 / stability.k_closed_form(m, t_star(m), 4).k_value
     easy = 1.5 * m.omega_max ** 2 / m.moment(2)
     return LambdaStarBounds(strong=strong, easy=easy)
 

@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the package.
 
 The split mirrors the exit codes of the command line tool: validation
-problems (bad measure files, bad parameters), numerical failures
-(non-convergence, ill-conditioned closed forms), and quadrature failures.
+problems (bad measure files, bad parameters) and numerical failures
+(non-convergence, ill-conditioned closed forms).  ``BracketError`` and
+``QuadratureError`` come only from the monotone bisection and adaptive
+quadrature of :mod:`eliashberg_tc.numerics`, which no package routine calls.
 """
 
 

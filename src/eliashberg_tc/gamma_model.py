@@ -12,7 +12,6 @@ supplies the next-to-leading coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,18 +21,6 @@ from .errors import ValidationError
 from .numerics import EigenPair, check_rank, check_scalar, sym_eig_top
 
 
-@dataclass(frozen=True)
-class GammaOperator:
-    """Rank-N truncation of the gamma-family interaction matrix."""
-
-    gamma: float
-    order: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
 def _gamma_kernel(gamma: float, n: int) -> np.ndarray:
     """kernel[j] = 1/j^gamma for j = 1 .. 2N-1, and kernel[0] = 0."""
     kernel = np.zeros(2 * n, dtype=float)
@@ -41,17 +28,18 @@ def _gamma_kernel(gamma: float, n: int) -> np.ndarray:
     return kernel
 
 
-def assemble_gamma(gamma: float, n: int) -> GammaOperator:
-    """Assemble the N x N truncation for exponent ``gamma > 0``."""
+def assemble_gamma(gamma: float, n: int) -> np.ndarray:
+    """The N x N truncation for exponent ``gamma > 0``, read-only."""
     check_scalar("gamma", gamma)
     check_rank("order", n)
     matrix = stability.truncation(_gamma_kernel(gamma, n), n)
-    return GammaOperator(gamma=float(gamma), order=int(n), matrix=matrix)
+    matrix.setflags(write=False)
+    return matrix
 
 
 @lru_cache(maxsize=64)
 def _top_pair(gamma: float, n: int) -> EigenPair:
-    return sym_eig_top(assemble_gamma(gamma, n).matrix)
+    return sym_eig_top(assemble_gamma(gamma, n))
 
 
 def g_top(gamma: float, n: int) -> EigenPair:
@@ -73,7 +61,7 @@ def expected_gamma(gamma_prime: float, gamma: float, n: int) -> float:
     eigenvector is irrelevant).  Strictly positive."""
     check_scalar("gamma_prime", gamma_prime)
     vec = g_top(gamma, n).vector
-    mat = assemble_gamma(gamma_prime, n).matrix
+    mat = assemble_gamma(gamma_prime, n)
     return float(vec @ mat @ vec)
 
 

@@ -78,15 +78,6 @@ def _moments(segments: np.ndarray, k_max: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KernelAverage:
-    """One Matsubara kernel average; ``value`` lies in [0, 1)."""
-
-    n: int
-    temperature: float
-    value: float
-
-
-@dataclass(frozen=True)
 class SpectralMeasure:
     """Validated, unit-mass phonon spectral measure.
 
@@ -155,12 +146,11 @@ class SpectralMeasure:
 
     # -- kernel averages ----------------------------------------------------
 
-    def kernel_average(self, n: int, t: float) -> KernelAverage:
-        """The average <<n>> at Matsubara index difference ``n``."""
+    def kernel_average(self, n: int, t: float) -> float:
+        """The average <<n>> at Matsubara index difference ``n``, in [0, 1]."""
         check_rank("Matsubara index", n)
         check_scalar("temperature", t)
-        value = float(self.kernel_values(t, n)[n])
-        return KernelAverage(n=n, temperature=t, value=value)
+        return float(self.kernel_values(t, n)[n])
 
     def kernel_values(self, t: float, count: int) -> np.ndarray:
         """Averages <<1>> .. <<count>> as an array indexed by n (entry 0 is 0).

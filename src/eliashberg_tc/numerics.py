@@ -2,8 +2,9 @@
 
 Symmetric top-eigenpair extraction (dense, or Lanczos for large matrices
 with positive off-diagonal entries), positive-cone power iteration,
-Riemann zeta evaluation, adaptive quadrature, monotone bisection, and the
-bracketed Newton iteration that solves for critical temperatures.  All
+Riemann zeta evaluation, and the bracketed Newton iteration that solves for
+critical temperatures.  Adaptive quadrature and monotone bisection remain
+as stand-alone routines that the package itself no longer calls.  All
 routines are pure functions of their arguments and safe to call
 concurrently.  Accuracy contracts (not algorithms) are the interface; the
 defaults live in one configuration record so every tolerance used anywhere
@@ -30,8 +31,8 @@ class Tolerances:
     eig_residual: float = 1e-10     # ||M v - lambda v|| <= eig_residual * (1 + |lambda|)
     power_tol: float = 1e-12        # relative error of the spectral-radius estimate
     power_max_iter: int = 100_000
-    quad_tol: float = 1e-10         # adaptive quadrature (derivative-identity check only)
-    bisect_tol: float = 1e-12       # bracket width relative to the initial interval
+    quad_tol: float = 1e-10         # integrate_adaptive default (no package caller)
+    bisect_tol: float = 1e-12       # bisect_monotone default width ratio (no package caller)
     newton_tol: float = 1e-8        # last Newton step over the root (Tc solves); error ~ its square
 
 
@@ -303,6 +304,8 @@ def riemann_zeta(s: float) -> float:
     return total
 
 
+# Unused by the package; kept because the benchmark's per-layer tracer
+# (perfbench/tracing.py) wraps numerics.bisect_monotone by name.
 def bisect_monotone(
     f: Callable[[float], float],
     lo: float,
@@ -401,6 +404,8 @@ def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
+# Unused by the package; kept because the benchmark's per-layer tracer
+# (perfbench/tracing.py) wraps numerics.integrate_adaptive by name.
 def integrate_adaptive(
     g: Callable[[float], float],
     a: float,

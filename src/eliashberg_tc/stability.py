@@ -35,22 +35,13 @@ import numpy as np
 
 from .errors import NumericalError
 from .measure import SpectralMeasure
-from .numerics import DEFAULT_TOL, check_rank, check_scalar, integrate_adaptive
-from .numerics import power_iteration_positive, sym_eig_top
-
-# Kernel averages become limit-degenerate once every dimensionless frequency
-# exceeds this; the zero-temperature limit matrix is exact there to double
-# precision and avoids cancellation in the quadratures.
-_WMAX_OVER_T_LIMIT = 1e8 * 2.0 * math.pi
+from .numerics import check_rank, check_scalar, power_iteration_positive, sym_eig_top
 
 
 @dataclass(frozen=True)
 class EliashbergOperator:
     """Assembled rank-N truncation with its cached kernel averages."""
 
-    measure: SpectralMeasure
-    temperature: float
-    order: int
     matrix: np.ndarray
     kernel: np.ndarray  # kernel[j] = <<j>>, j = 1 .. 2N-1; kernel[0] = 0
 
@@ -104,13 +95,6 @@ def truncation(kernel: np.ndarray, n: int) -> np.ndarray:
     return matrix
 
 
-def _ultracold(m: SpectralMeasure, t: float) -> bool:
-    """Whether every dimensionless frequency exceeds the limit above which
-    the zero-temperature kernel (all averages one) is used."""
-    min_omega = float(np.min(m.omegas[m.weights > 0])) if m.kind != "tabulated" else float(m.omegas[0])
-    return min_omega > 0.0 and min_omega / t > _WMAX_OVER_T_LIMIT
-
-
 def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> EliashbergOperator:
     """Assemble the rank-N truncation at temperature ``t``.
 
@@ -121,16 +105,8 @@ def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> 
     """
     check_rank("order", n)
     check_scalar("temperature", t, banded=banded)
-    if _ultracold(m, t):
-        # zero-temperature limit: every average is one, so the truncation
-        # is -I + 2 u u^T with u_n = 1/sqrt(2n+1)
-        kernel = np.ones(2 * n, dtype=float)
-        kernel[0] = 0.0
-    else:
-        kernel = m.kernel_values(t, 2 * n - 1)
-    return EliashbergOperator(
-        measure=m, temperature=t, order=n, matrix=truncation(kernel, n), kernel=kernel
-    )
+    kernel = m.kernel_values(t, 2 * n - 1)
+    return EliashbergOperator(matrix=truncation(kernel, n), kernel=kernel)
 
 
 def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> KBound:
@@ -160,19 +136,20 @@ def eigensolver_bound(mat: np.ndarray, t: float) -> KBound:
 def k_slope(m: SpectralMeasure, t: float, vector: np.ndarray) -> float:
     """Temperature slope dk_N/d(T^2) of the top eigenvalue at ``t``, given
     the unit top eigenvector ``vector`` of the rank-N truncation there
-    (``KBound.eigvec``).  Any finite positive ``t`` is accepted.
+    (``KBound.eigvec``).  Any finite positive ``t`` is accepted; one whose
+    square underflows to zero (below about 2e-162) raises a
+    :class:`NumericalError`.
 
     The top eigenvalue is simple: K + cI is entrywise positive for large
     enough c, so its top eigenvector is a Perron vector.  The truncation is
     linear in the kernel, so by Hellmann-Feynman the slope is
     v^T truncation(d kernel/d(T^2)) v, one O(N^2) form on the kernel slopes
-    of :meth:`SpectralMeasure.kernel_slopes`.  In the zero-temperature limit
-    the all-ones kernel does not move, and the slope is zero.
+    of :meth:`SpectralMeasure.kernel_slopes`.
     """
     check_scalar("temperature", t, banded=False)
+    if t * t == 0.0:
+        raise NumericalError(f"temperature {t!r} squares to zero; no slope in T^2 follows")
     n = len(vector)
-    if _ultracold(m, t):
-        return 0.0
     slopes = truncation(m.kernel_slopes(t, 2 * n - 1), n)
     return float(vector @ slopes @ vector) / (t * t)
 
@@ -396,12 +373,15 @@ def dk_dT2_identity_check(m: SpectralMeasure, t: float) -> DerivativeCheck:
     """Check the closed rational form of the temperature derivative.
 
     The combination 3<<1>> + 2<<2>> - <<3>> is differentiated with respect
-    to T^2 both by central finite differences and through the closed
-    rational integrand (whose numerator coefficients are the integers
-    4392, 3888, 1370, 148, 2).  The closed integrand is strictly negative,
-    which is what makes the rank-two coupling bound invertible at every
-    temperature.  The chain-rule factor between d/d(T^2) and the squared
-    Matsubara offset s = 4 pi^2 T^2 is included explicitly.
+    to T^2 both by central finite differences and in closed form.  For atom
+    measures the closed form is the rational integrand (whose numerator
+    coefficients are the integers 4392, 3888, 1370, 148, 2) summed over the
+    atoms, with the chain-rule factor between d/d(T^2) and the squared
+    Matsubara offset s = 4 pi^2 T^2 included explicitly; tabulated densities
+    integrate the same integrand by the segment antiderivatives of
+    :meth:`SpectralMeasure.kernel_slopes`.  The closed form is strictly
+    negative, which is what makes the rank-two coupling bound invertible at
+    every temperature.
     """
     check_scalar("temperature", t)
     u = t * t
@@ -409,24 +389,13 @@ def dk_dT2_identity_check(m: SpectralMeasure, t: float) -> DerivativeCheck:
     fd = (_deriv_combination(m, math.sqrt(u + h)) - _deriv_combination(m, math.sqrt(u - h))) / (
         2.0 * h
     )
-    s = 4.0 * math.pi ** 2 * u
-    jacobian = 4.0 * math.pi ** 2  # ds/d(T^2)
-
-    if m.kind in ("einstein", "discrete"):
-        closed = jacobian * float(
-            np.sum(m.weights * _deriv_closed_integrand(m.omegas, s))
-        )
+    if m.kind == "tabulated":
+        # kernel_slopes gives T^2 d<<n>>/d(T^2)
+        slopes = m.kernel_slopes(t, 3)
+        closed = (3.0 * slopes[1] + 2.0 * slopes[2] - slopes[3]) / u
     else:
-        acc = 0.0
-        for a, b, pa, pb in m.segments.T.tolist():
-            beta = (pb - pa) / (b - a)
-            alpha = pa - beta * a
-            acc += integrate_adaptive(
-                lambda w: (alpha + beta * w) * float(_deriv_closed_integrand(np.array([w]), s)[0]),
-                a,
-                b,
-                DEFAULT_TOL.quad_tol,
-            )
-        closed = jacobian * acc
+        jacobian = 4.0 * math.pi ** 2  # ds/d(T^2)
+        integrand = _deriv_closed_integrand(m.omegas, jacobian * u)
+        closed = jacobian * float(np.sum(m.weights * integrand))
     residual = abs(fd - closed) / max(abs(closed), 1e-300)
     return DerivativeCheck(finite_difference=fd, closed_form=closed, residual=residual)

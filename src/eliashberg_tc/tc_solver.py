@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import bounds, stability
+from .bounds import t_star
 from .measure import SpectralMeasure
 from .numerics import check_rank, check_scalar, newton_bracketed
 
@@ -48,13 +49,6 @@ class TcReport:
     converged_tc: Optional[float]
     converged_n: Optional[int]
     tolerance: Optional[float]  # None for a report of single ranks
-
-
-def t_star(m: SpectralMeasure) -> float:
-    """Conservative monotonicity threshold: support edge over 2 sqrt(2) pi.
-    The sharp threshold is unknown; this proven bound is what the status
-    labels are judged against."""
-    return bounds.t_star_threshold(m)
 
 
 def tc_n(m: SpectralMeasure, lam: float, n: int, *, _start: Optional[float] = None) -> LadderEntry:

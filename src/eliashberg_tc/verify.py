@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bounds, gamma_model, measure, stability, tc_solver
-from .numerics import bisect_monotone, riemann_zeta, sym_eig_top
+from .numerics import newton_bracketed, riemann_zeta, sym_eig_top
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,23 @@ def check_zeta_oracle(fast: bool) -> str:
     return f"{len(points)} points plus the estimate constant"
 
 
-def check_bisection_inverses(fast: bool) -> str:
+def _einstein_inverse_residual(t: float) -> tuple[float, float]:
+    """1/<<1>> - 2 on the unit atom at temperature ``t``, and its slope in t
+    from :meth:`SpectralMeasure.kernel_slopes` (t d<<1>>/dt = 2 slope)."""
+    value = _EINSTEIN.kernel_average(1, t)
+    slope = _EINSTEIN.kernel_slopes(t, 1)[1]
+    return 1.0 / value - 2.0, -2.0 * slope / (t * value * value)
+
+
+def check_newton_inverses(fast: bool) -> str:
     del fast
     cases = [
-        (lambda x: x, 0.0, 1.0, 0.3, 0.3),
-        (lambda x: x * x, 0.0, 10.0, 4.0, 2.0),
-        (lambda t: 1.0 / _EINSTEIN.kernel_average(1, t).value,
-         1e-3, 1.0, 2.0, 1.0 / (2.0 * math.pi)),
+        (lambda x: (x - 0.3, 1.0), 0.5, 0.3),
+        (lambda x: (x * x - 4.0, 2.0 * x), 5.0, 2.0),
+        (_einstein_inverse_residual, 0.5, 1.0 / (2.0 * math.pi)),
     ]
-    for i, (f, lo, hi, target, want) in enumerate(cases):
-        got = bisect_monotone(f, lo, hi, target, tol=1e-12)
+    for i, (f, start, want) in enumerate(cases):
+        got = newton_bracketed(f, start, tol=1e-12)
         _require(abs(got - want) <= 1e-9 * (1.0 + abs(want)), f"case {i}: {got!r} vs {want!r}")
     return "3 inverses"
 
@@ -159,14 +166,14 @@ def check_kernel_high_low_T(fast: bool) -> str:
     for m in _SAMPLE_MEASURES:
         t = 1e4 * m.omega_max
         for n in (1, 2, 5):
-            v = m.kernel_average(n, t).value
+            v = m.kernel_average(n, t)
             scaled = v * (2.0 * n * math.pi * t) ** 2 / m.moment(2)
             _require(abs(scaled - 1.0) <= 1e-6, f"{m.describe()} n={n}: scaled {scaled!r}")
     for m in _SAMPLE_MEASURES:
         if m.kind == "tabulated":
             continue  # support reaches zero frequency, no atom gap
         t = 1e-6 * float(np.min(m.omegas))
-        v = m.kernel_average(1, t).value
+        v = m.kernel_average(1, t)
         _require(abs(v - 1.0) <= 1e-9, f"{m.describe()} low-T value {v!r}")
     return "limits at both ends"
 
@@ -183,7 +190,7 @@ def check_discrete_exactness(fast: bool) -> str:
                 w * o * o / (o * o + (2 * n * math.pi * t) ** 2)
                 for w, o in zip(m.weights, m.omegas)
             )
-            got = m.kernel_average(n, t).value
+            got = m.kernel_average(n, t)
             _require(abs(got - want) <= 1e-14, f"n={n} t={t}")
     return "weighted sums reproduced"
 
@@ -210,7 +217,7 @@ def check_gamma_eigvec_structure(fast: bool) -> str:
     for gamma in (1.0, 2.0, 4.0):
         for n in orders:
             pair = gamma_model.g_top(gamma, n)
-            mat = gamma_model.assemble_gamma(gamma, n).matrix
+            mat = gamma_model.assemble_gamma(gamma, n)
             shift = 1.0 + float(np.max(np.abs(np.diag(mat))))
             shifted_pair = sym_eig_top(mat + shift * np.eye(n))
             _require(np.all(shifted_pair.vector > 0.0),
@@ -458,7 +465,7 @@ ALL_CHECKS: tuple[tuple[str, Callable[[bool], str]], ...] = (
     ("eig top dominates Rayleigh quotients", check_eig_variational),
     ("eig shift covariance", check_eig_shift),
     ("zeta vs direct summation", check_zeta_oracle),
-    ("bisection analytic inverses", check_bisection_inverses),
+    ("Newton analytic inverses", check_newton_inverses),
     ("kernel average decreasing in index", check_kernel_monotone_in_n),
     ("kernel average high-T normalization", check_kernel_high_low_T),
     ("discrete moments exact", check_discrete_exactness),

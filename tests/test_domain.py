@@ -11,7 +11,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eliashberg_tc import bounds, cli, gamma_model, measure, stability, tc_solver
@@ -327,6 +327,7 @@ def test_closed_forms_match_eigensolver_across_the_band(m, log_s, log_t, n):
 
 
 @given(SCALED, st.floats(-20.0, 20.0), st.floats(-0.3, 3.0), st.integers(1, 8))
+@example(MEASURES[2], 0.5, math.log10(1.0 + 4.4e-16), 1)  # the two solves differ by 2%
 @settings(max_examples=30, deadline=None)
 def test_tc_n_scaling_covariance(m, log_s, log_lam, n):
     s, lam = 10.0 ** log_s, 10.0 ** log_lam
@@ -335,7 +336,13 @@ def test_tc_n_scaling_covariance(m, log_s, log_lam, n):
     assert moved.status == base.status
     if base.value is None:
         assert moved.value is None
-    else:
+        return
+    # the scaled solve, moved back, solves the unscaled equation
+    back = stability.k_numeric(m, moved.value / s, n, banded=False).lambda_upper
+    assert back == pytest.approx(lam, rel=1e-9)
+    # within 1e-6 of the rank floor 1/k_N is too flat in T for Tc to be well
+    # conditioned: there two solves with zero backward error can differ by %
+    if lam >= stability.k_limit_T0(n).lambda_floor * (1.0 + 1e-6):
         assert moved.value == pytest.approx(s * base.value, rel=1e-9)
 
 

@@ -117,7 +117,7 @@ KRYLOV_CASES += [("gamma", x, n) for n in KRYLOV_RANKS for x in (0.5, 1.0, 2.0, 
 
 def _operator(family: str, x: float, n: int) -> np.ndarray:
     if family == "gamma":
-        return gamma_model.assemble_gamma(x, n).matrix
+        return gamma_model.assemble_gamma(x, n)
     m = KRYLOV_MEASURES[family]
     return stability.assemble_k(m, x * float(np.max(m.omegas)), n).matrix
 
@@ -137,7 +137,7 @@ class TestKrylovRoute:
         assert not np.any(np.diff(theta) > 1e-12 * theta[0])
 
     def test_negative_off_diagonal_pair_takes_dense_route(self, eigh_sizes, monkeypatch):
-        mat = gamma_model.assemble_gamma(2.0, 128).matrix.copy()
+        mat = gamma_model.assemble_gamma(2.0, 128).copy()
         mat[3, 40] = mat[40, 3] = -0.01
         pair = sym_eig_top(mat)
         assert eigh_sizes == [128]
@@ -158,7 +158,7 @@ class TestKrylovRoute:
         # the residual contract.  A last row and column coupled by 1e-12 give
         # the Perron vector a last component near 1e-16: with its sign flipped
         # the pair still meets the contract but is not positive.
-        mat = gamma_model.assemble_gamma(2.0, 128).matrix.copy()
+        mat = gamma_model.assemble_gamma(2.0, 128).copy()
         if fault == "vector sign":
             mat[-1] *= 1e-12
             mat[:, -1] *= 1e-12
@@ -190,7 +190,7 @@ class TestKrylovRoute:
 
     def test_below_crossover_is_dense(self, eigh_sizes):
         n = numerics._KRYLOV_MIN_RANK - 1
-        sym_eig_top(gamma_model.assemble_gamma(2.0, n).matrix)
+        sym_eig_top(gamma_model.assemble_gamma(2.0, n))
         assert eigh_sizes == [n]
 
 

@@ -19,16 +19,17 @@ class TestAssembly:
         # exchange - diag(drag) is the assembled truncation, bit for bit
         n = 7
         if case == "gamma":
-            op = gamma_model.assemble_gamma(2.0, n)
+            matrix = gamma_model.assemble_gamma(2.0, n)
             kernel = np.zeros(2 * n)
             kernel[1:] = np.arange(1, 2 * n, dtype=float) ** -2.0
         else:
             m = {"discrete": two_atoms, "tabulated": triangle}.get(case, einstein_unit)
             op = stability.assemble_k(m, 1e-10 if case == "ultracold" else 0.13, n)
-            kernel = op.kernel
+            matrix, kernel = op.matrix, op.kernel
+            # at T = 1e-10 every average of the unit atom rounds to one
             assert np.all(kernel[1:] == 1.0) == (case == "ultracold")
         exchange, drag = stability.split_operator(kernel, n)
-        assert np.array_equal(exchange - np.diag(drag), op.matrix)
+        assert np.array_equal(exchange - np.diag(drag), matrix)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 513])
     def test_strided_views_equal_gathers(self, n):
@@ -285,6 +286,20 @@ class TestZeroTemperatureLimit:
             got = stability.k_numeric(m, t, n).k_value
             assert abs(got - stability.k_limit_T0(n).k0) <= 1e-3
 
+    @pytest.mark.parametrize("t", [1e-30, 1e-12, 1e-10])
+    @pytest.mark.parametrize("n", [1, 4, 64, 1024])
+    def test_gapped_measures_reach_the_limit_far_below_the_gap(self, n, t, two_atoms):
+        # the plain kernel averages are within (2N * 2 pi T / omega_min)^2 of
+        # one, and the eigenvalue and its slope follow them to the limit
+        gapped = measure.tabulated([(0.2, 0.0), (0.6, 2.5), (1.0, 0.0)])
+        for m in (measure.einstein(1.0), two_atoms, gapped):
+            bound = (2 * n) ** 2 * (2.0 * math.pi * t / float(m.omegas[0])) ** 2
+            bound += 4.0 * np.finfo(float).eps
+            assert np.max(1.0 - stability.assemble_k(m, t, n).kernel[1:]) <= bound
+            k = stability.k_numeric(m, t, n)
+            assert k.k_value == pytest.approx(stability.k_limit_T0(n).k0, rel=1e-12, abs=0.0)
+            assert abs(stability.k_slope(m, t, k.eigvec) * t * t) <= bound
+
     def test_degenerate_temperature_uses_limit_matrix(self):
         m = measure.einstein(1.0)
         op = stability.assemble_k(m, 1e-10, 3)
@@ -391,6 +406,43 @@ class TestDerivativeIdentity:
         chk = stability.dk_dT2_identity_check(triangle, 0.4)
         assert chk.residual < 1e-6
         assert chk.closed_form < 0.0
+
+    @staticmethod
+    def _oracle(m: measure.SpectralMeasure, t: float) -> float:
+        """d/d(T^2) of 3<<1>> + 2<<2>> - <<3>> for a tabulated density, in 40
+        digits: the integer rational integrand integrated segment by segment."""
+        with mpmath.workdps(40):
+            s = 4 * mpmath.pi ** 2 * mpmath.mpf(t) ** 2
+
+            def integrand(w, alpha, beta):
+                x = w * w
+                numer = (4392 * x * s ** 4 + 3888 * x ** 2 * s ** 3 + 1370 * x ** 3 * s ** 2
+                         + 148 * x ** 4 * s + 2 * x ** 5)
+                return -(alpha + beta * w) * numer / ((s + x) * (4 * s + x) * (9 * s + x)) ** 2
+
+            total = 0
+            for a, b, pa, pb in m.segments.T.tolist():
+                a, b, pa, pb = (mpmath.mpf(v) for v in (a, b, pa, pb))
+                beta = (pb - pa) / (b - a)
+                alpha = pa - beta * a
+                total += mpmath.quad(lambda w: integrand(w, alpha, beta), [a, b])
+            return float(4 * mpmath.pi ** 2 * total)
+
+    @pytest.mark.parametrize("name", ["triangle", "gapped", "random-0", "random-1", "random-2"])
+    def test_tabulated_closed_form_against_oracle(self, name, triangle):
+        if name == "triangle":
+            m = triangle
+        elif name == "gapped":
+            m = measure.tabulated([(0.2, 0.0), (0.6, 2.5), (1.0, 0.0)])
+        else:  # 12 random nodes on [0, 1], random densities, unit trapezoid mass
+            rng = np.random.default_rng(int(name[-1]))
+            xs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 10)), [1.0]])
+            ys = np.concatenate([[0.0], rng.uniform(0.2, 1.0, 10), [0.0]])
+            m = measure.tabulated(list(zip(xs, ys / np.trapezoid(ys, xs))))
+        for t in np.geomspace(0.01, 30.0, 7):
+            got = stability.dk_dT2_identity_check(m, float(t)).closed_form
+            want = self._oracle(m, float(t))
+            assert abs(got - want) <= 1e-13 * abs(want), (name, t, got, want)
 
 
 class TestScalingCovariance:
