@@ -341,7 +341,7 @@ def test_tc_n_scaling_covariance(m, log_s, log_lam, n):
     back = stability.k_numeric(m, moved.value / s, n, banded=False).lambda_upper
     assert back == pytest.approx(lam, rel=1e-9)
     # within 1e-6 of the rank floor 1/k_N is too flat in T for Tc to be well
-    # conditioned: there two solves with zero backward error can differ by %
+    # conditioned: there two solves with zero backward error can differ by 2%
     if lam >= stability.k_limit_T0(n).lambda_floor * (1.0 + 1e-6):
         assert moved.value == pytest.approx(s * base.value, rel=1e-9)
 

@@ -8,6 +8,10 @@ from eliashberg_tc import gamma_model, measure, stability
 from eliashberg_tc.errors import NumericalError, ValidationError
 
 
+# density on [0.2, 1]: a gap below its lowest frequency
+GAPPED = measure.tabulated([(0.2, 0.0), (0.6, 2.5), (1.0, 0.0)])
+
+
 def varpi_atom(varpi, t=1.0 / (2.0 * math.pi)):
     """Single atom with prescribed dimensionless frequency at temperature t."""
     return measure.einstein(varpi * 2.0 * math.pi * t), t
@@ -291,8 +295,7 @@ class TestZeroTemperatureLimit:
     def test_gapped_measures_reach_the_limit_far_below_the_gap(self, n, t, two_atoms):
         # the plain kernel averages are within (2N * 2 pi T / omega_min)^2 of
         # one, and the eigenvalue and its slope follow them to the limit
-        gapped = measure.tabulated([(0.2, 0.0), (0.6, 2.5), (1.0, 0.0)])
-        for m in (measure.einstein(1.0), two_atoms, gapped):
+        for m in (measure.einstein(1.0), two_atoms, GAPPED):
             bound = (2 * n) ** 2 * (2.0 * math.pi * t / float(m.omegas[0])) ** 2
             bound += 4.0 * np.finfo(float).eps
             assert np.max(1.0 - stability.assemble_k(m, t, n).kernel[1:]) <= bound
@@ -433,7 +436,7 @@ class TestDerivativeIdentity:
         if name == "triangle":
             m = triangle
         elif name == "gapped":
-            m = measure.tabulated([(0.2, 0.0), (0.6, 2.5), (1.0, 0.0)])
+            m = GAPPED
         else:  # 12 random nodes on [0, 1], random densities, unit trapezoid mass
             rng = np.random.default_rng(int(name[-1]))
             xs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 10)), [1.0]])
