@@ -91,22 +91,25 @@ def threshold_table(m: SpectralMeasure, t: float, n: int) -> ThresholdTable:
     """Every threshold bound at temperature ``t`` from one kernel pass.
 
     Each rank-r truncation is the leading r x r block of every larger one,
-    so one assembly at rank max(N, 4) serves all of them: the closed forms
-    (:func:`stability.closed_form_bound`) read its blocks of order one to
-    four, the eigensolver (:func:`stability.eigensolver_bound`) its block of
-    order N, and ``k_star`` its cached <<1>>.  The values are those of
-    :func:`stability.k_closed_form`, :func:`stability.k_numeric`,
-    :func:`k_star` and :func:`k_sharp`: bitwise for atom measures, to a few
-    units in the last place for tabulated ones, whose averages are summed
-    in a different grouping at a different count.
+    and is built from the first 2r kernel averages, so one pass of
+    2 max(N, 4) - 1 averages serves all of them: the closed forms
+    (:func:`stability.closed_form_bound`) read the blocks of order one to
+    four of the rank-four truncation, the eigensolver
+    (:func:`stability.eigensolver_bound`) the rank-N
+    :class:`stability.SplitTruncation`, and ``k_star`` the average <<1>>.
+    The values are those of :func:`stability.k_closed_form`,
+    :func:`stability.k_numeric`, :func:`k_star` and :func:`k_sharp`: bitwise
+    for atom measures, to a few units in the last place for tabulated ones,
+    whose averages are summed in a different grouping at a different count.
     """
     check_scalar("temperature", t)
     n = check_rank("order", n)
-    op = stability.assemble_k(m, t, max(n, 4))
-    closed = tuple(stability.closed_form_bound(op.matrix[:r, :r]) for r in (1, 2, 3, 4))
-    numeric = stability.eigensolver_bound(op.matrix[:n, :n], t)
+    kernel = m.kernel_values(t, 2 * max(n, 4) - 1)
+    small = stability.truncation(kernel, 4)
+    closed = tuple(stability.closed_form_bound(small[:r, :r]) for r in (1, 2, 3, 4))
+    numeric = stability.eigensolver_bound(stability.SplitTruncation(kernel[:2 * n], n), t)
     varpi2 = _varpi_squared(m, t)
-    return ThresholdTable(closed, numeric, _k_star(float(op.kernel[1]), varpi2), _k_sharp(varpi2))
+    return ThresholdTable(closed, numeric, _k_star(float(kernel[1]), varpi2), _k_sharp(varpi2))
 
 
 def tc_sharp(m: SpectralMeasure, lam: float) -> float:

@@ -39,7 +39,7 @@ def assemble_gamma(gamma: float, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _top_pair(gamma: float, n: int) -> EigenPair:
-    return sym_eig_top(assemble_gamma(gamma, n))
+    return sym_eig_top(stability.SplitTruncation(_gamma_kernel(gamma, n), n))
 
 
 def g_top(gamma: float, n: int) -> EigenPair:
@@ -61,8 +61,7 @@ def expected_gamma(gamma_prime: float, gamma: float, n: int) -> float:
     eigenvector is irrelevant).  Strictly positive."""
     check_scalar("gamma_prime", gamma_prime)
     vec = g_top(gamma, n).vector
-    mat = assemble_gamma(gamma_prime, n)
-    return float(vec @ mat @ vec)
+    return stability.SplitTruncation(_gamma_kernel(gamma_prime, n), n).quadratic_form(vec)
 
 
 def theta_profile(eigvec: np.ndarray) -> np.ndarray:

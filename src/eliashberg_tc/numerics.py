@@ -1,7 +1,8 @@
 """Shared numerical kernels and the input domain.
 
 Symmetric top-eigenpair extraction (dense, or Lanczos for large matrices
-with positive off-diagonal entries), positive-cone power iteration,
+with positive off-diagonal entries, on the matrix or on the matrix-free
+product of a split truncation), positive-cone power iteration,
 Riemann zeta evaluation, and the bracketed Newton iteration that solves for
 critical temperatures.  Adaptive quadrature and monotone bisection remain
 as stand-alone routines that the package itself no longer calls.  All
@@ -48,14 +49,28 @@ MIN_MAGNITUDE, MAX_MAGNITUDE = 1e-30, 1e30
 # Evaluations a Newton solve may take: bisection alone narrows a bracket to
 # 1e-8 of its end point in about 30, and each fourfold widening costs one.
 _NEWTON_MAX_EVALS = 100
-# Largest rank, order or count: one dense MAX_RANK x MAX_RANK float64 matrix
-# takes 8 * 4096^2 bytes = 128 MiB, and assembly holds a few at once.
+# Largest rank, order or count.  Past it no dense fallback exists: one dense
+# MAX_RANK x MAX_RANK float64 matrix takes 8 * 4096^2 bytes = 128 MiB, and
+# assembly holds a few at once.
 MAX_RANK = 4096
-# sym_eig_top tries Lanczos from this rank on; below it dense eigh is
-# faster.  Measured with one BLAS thread on the gamma (gamma 0.5, 2) and
-# einstein (T = 0.02, 1) operators: Lanczos takes 0.7-0.8 ms at every rank
-# up to 96, dense eigh 0.6 ms at N = 64, 0.8 at 72, 1.0 at 80 and 1.4 at 96.
-_KRYLOV_MIN_RANK = 96
+# sym_eig_top runs Lanczos on the O(N log N) matrix-vector product of a split
+# truncation from this rank on, without forming the matrix; below it the
+# split truncation is assembled, and SplitTruncation.quadratic_form reads the
+# assembled matrix.  Measured with one BLAS thread, best of 5, on the gamma
+# (gamma 0.5, 2), einstein and two-atom (T = 0.02) operators, two rounds: the
+# assembled route takes 0.4-0.5 ms at N = 128, 0.8-1.5 at 224, 0.9-1.6 at
+# 256 and 5-6 at 512; the matrix-free one 0.6-1.2, 0.7-1.5, 0.7-1.0 and
+# 0.9-1.6.  At 256 it was the faster in all 8 pairs, at 224 in 5.  Rank 256
+# itself stays assembled: it is bounds.GAMMA_LIMIT_RANK, behind Tc_tilde in
+# every tc report, and a ladder rank, so every report whose ladder stops by
+# rank 256 keeps the bits of the assembled route.
+_MATRIX_FREE_MIN_RANK = 257
+# sym_eig_top tries Lanczos on an assembled matrix from this rank on; below
+# it dense eigh is faster.  Measured like the crossover above, two rounds:
+# dense eigh takes 0.30-0.37 ms at N = 56, 0.39-0.41 at 64 and 0.53-0.76 at
+# 72; Lanczos 0.30-0.35, 0.29-0.47 and 0.29-0.37: the faster in 3 of 8
+# pairs at 56, 7 of 8 at 64 and all 8 from 72 on.
+_KRYLOV_MIN_RANK = 72
 # Lanczos steps before sym_eig_top falls back to eigh; the operators of this
 # package converge in 13-15.
 _KRYLOV_MAX_STEPS = 64
@@ -135,37 +150,70 @@ def _krylov_eligible(m: np.ndarray) -> bool:
     return float(np.min(off)) > 0.0 and 1.0 / _KRYLOV_SCALE < big < _KRYLOV_SCALE
 
 
-def _lanczos_top(m: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
-    """Top Ritz pair of the symmetric ``m`` by Lanczos with full
-    reorthogonalization (Parlett, The Symmetric Eigenvalue Problem, 1998,
-    ch. 13), started from the positive vector 1/sqrt(2n+1); None unless it
-    converges within ``_KRYLOV_MAX_STEPS`` steps.
+def _kernel_eligible(kernel: np.ndarray) -> bool:
+    """Whether a split truncation takes the matrix-free Lanczos route: every
+    kernel entry past the first positive, which makes every off-diagonal
+    entry positive, and the largest inside the scale gate of
+    :func:`_krylov_eligible`.  O(N); NaN fails both tests."""
+    entries = kernel[1:]
+    big = float(np.max(entries))
+    return float(np.min(entries)) > 0.0 and 1.0 / _KRYLOV_SCALE < big < _KRYLOV_SCALE
+
+
+def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray],
+                 n: int) -> Optional[tuple[float, np.ndarray]]:
+    """Top Ritz pair of the symmetric order-``n`` operator applied by
+    ``matvec``, by Lanczos with full reorthogonalization (Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 13), started from the positive
+    vector 1/sqrt(2n+1); None unless it converges within
+    ``_KRYLOV_MAX_STEPS`` steps.
 
     Each new Lanczos vector is orthogonalized twice against the whole basis
     (classical Gram-Schmidt), so orthogonality holds to rounding without
     selective reorthogonalization.  The iteration has converged when the
     residual of the top Ritz pair, beta_j |s_j| for the top eigenvector s of
     the tridiagonal T_j, is at rounding level, 4 eps max|eig(T_j)|, or when
-    the Krylov space is invariant (beta_j = 0).
+    the Krylov space is invariant (beta_j = 0).  The operators of this
+    package take 13-15 steps, and the tridiagonal ``eigh`` of the test costs
+    as much as a matrix-vector product at N ~ 100, so the test runs from
+    step 8 on, every second step, and at the last step and an invariant
+    space.
     """
-    n = len(m)
     steps = min(_KRYLOV_MAX_STEPS, n)
     basis = np.empty((steps, n))
     start = 1.0 / np.sqrt(2.0 * np.arange(n) + 1.0)
     basis[0] = start / np.linalg.norm(start)
     tri = np.zeros((steps, steps))
     for j in range(steps):
-        w = m @ basis[j]
+        w = matvec(basis[j])
         tri[j, j] = basis[j] @ w
         for _ in range(2):
             w -= (basis[: j + 1] @ w) @ basis[: j + 1]
         beta = float(np.linalg.norm(w))
-        values, vectors = np.linalg.eigh(tri[: j + 1, : j + 1])
-        if beta * abs(vectors[-1, -1]) <= 4.0 * _EPS * max(-values[0], values[-1]):
-            return float(values[-1]), vectors[:, -1] @ basis[: j + 1]
+        if j >= 7 and j % 2 == 1 or j + 1 == steps or beta == 0.0:
+            values, vectors = np.linalg.eigh(tri[: j + 1, : j + 1])
+            if beta * abs(vectors[-1, -1]) <= 4.0 * _EPS * max(-values[0], values[-1]):
+                return float(values[-1]), vectors[:, -1] @ basis[: j + 1]
         if j + 1 < steps:
             basis[j + 1] = w / beta
             tri[j, j + 1] = tri[j + 1, j] = beta
+    return None
+
+
+def _certified_ritz(matvec: Callable[[np.ndarray], np.ndarray], n: int,
+                    residual_tol: float) -> Optional[EigenPair]:
+    """The Lanczos pair of :func:`_lanczos_top`, unit and sign-normalized,
+    if it meets the residual contract of :func:`sym_eig_top` (computed with
+    ``matvec``) and its vector is strictly positive; None otherwise."""
+    ritz = _lanczos_top(matvec, n)
+    if ritz is None:
+        return None
+    value, vector = ritz
+    vector = _sign_normalize(vector)
+    vector /= np.linalg.norm(vector)
+    residual = float(np.linalg.norm(matvec(vector) - value * vector))
+    if residual <= residual_tol * (1.0 + abs(value)) and np.all(vector > 0.0):
+        return EigenPair(value=value, vector=vector)
     return None
 
 
@@ -173,21 +221,31 @@ def _residual(m: np.ndarray, value: float, vector: np.ndarray) -> float:
     return float(np.linalg.norm(m @ vector - value * vector))
 
 
-def sym_eig_top(matrix: np.ndarray, residual_tol: float = DEFAULT_TOL.eig_residual) -> EigenPair:
-    """Algebraically largest eigenvalue of a real symmetric matrix.
+def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual) -> EigenPair:
+    """Algebraically largest eigenvalue of a real symmetric matrix, given
+    dense or as a split truncation.
 
-    Two routes give the same pair to rounding.  A matrix of rank
+    A split truncation (:class:`eliashberg_tc.stability.SplitTruncation`)
+    holds the rank-N operator as its kernel: ``len()`` is N, ``kernel`` its
+    2N kernel numbers, ``matvec(x)`` applies it in O(N log N) and
+    ``dense()`` assembles it.  From rank ``_MATRIX_FREE_MIN_RANK`` on, a
+    split truncation whose kernel passes :func:`_kernel_eligible` goes to
+    Lanczos on ``matvec``, and no N x N array is formed.  Below that rank,
+    or when the kernel is not eligible or the pair fails its certificate
+    below, it is assembled and takes the dense routes.
+
+    Two dense routes give the same pair to rounding.  A matrix of rank
     ``_KRYLOV_MIN_RANK`` or more whose off-diagonal entries are all positive
     is irreducible and Metzler, so its top eigenvector is a positive Perron
     vector, which the positive Lanczos start vector cannot be orthogonal to;
     it goes to Lanczos (:func:`_lanczos_top`, O(N^2) per step for 10-15
-    steps).  That result is kept only if it meets the residual contract
-    below and its vector is strictly positive.  Otherwise, and for every
-    other matrix, the pair comes from a dense ``eigh``, O(N^3).
+    steps).  Every Lanczos pair is kept only if it meets the residual
+    contract below and its vector is strictly positive.  Otherwise, and for
+    every other matrix, the pair comes from a dense ``eigh``, O(N^3).
 
     Parameters
     ----------
-    matrix : (N, N) ndarray
+    matrix : (N, N) ndarray or split truncation
         Real symmetric with finite entries.  Symmetry is required exactly;
         matrices in this package are assembled mirrored, never recomputed
         per triangle.
@@ -199,6 +257,12 @@ def sym_eig_top(matrix: np.ndarray, residual_tol: float = DEFAULT_TOL.eig_residu
     EigenPair
         Deterministic for fixed input.
     """
+    if hasattr(matrix, "matvec"):
+        if len(matrix) >= _MATRIX_FREE_MIN_RANK and _kernel_eligible(matrix.kernel):
+            pair = _certified_ritz(matrix.matvec, len(matrix), residual_tol)
+            if pair is not None:
+                return pair
+        matrix = matrix.dense()
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
@@ -206,14 +270,10 @@ def sym_eig_top(matrix: np.ndarray, residual_tol: float = DEFAULT_TOL.eig_residu
         raise ValidationError("matrix has non-finite entries")
     if not _exactly_symmetric(m):
         raise ValidationError("matrix is not exactly symmetric")
-    ritz = _lanczos_top(m) if _krylov_eligible(m) else None
-    if ritz is not None:
-        value, vector = ritz
-        vector = _sign_normalize(vector)
-        vector /= np.linalg.norm(vector)
-        certified = _residual(m, value, vector) <= residual_tol * (1.0 + abs(value))
-        if certified and np.all(vector > 0.0):
-            return EigenPair(value=value, vector=vector)
+    if _krylov_eligible(m):
+        pair = _certified_ritz(lambda x: m @ x, len(m), residual_tol)
+        if pair is not None:
+            return pair
     eigvals, eigvecs = np.linalg.eigh(m)
     value = float(eigvals[-1])
     vector = _sign_normalize(eigvecs[:, -1].copy())

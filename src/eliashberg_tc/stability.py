@@ -12,7 +12,9 @@ and on the diagonal the same-site exchange term is replaced by the drag
 
 Both parts come from :func:`split_operator`, the one assembly routine
 shared with the gamma family (:mod:`eliashberg_tc.gamma_model`), which
-plugs inverse powers j^-gamma into the same kernel slots.
+plugs inverse powers j^-gamma into the same kernel slots.  Eigensolves and
+quadratic forms take the truncation as a :class:`SplitTruncation`, its
+kernel alone, which high ranks apply by FFT without assembling it.
 
 Its top eigenvalue k_N(P, T) increases with N toward the stability
 threshold k(P, T); the reciprocal 1/k_N is a decreasing chain of upper
@@ -26,13 +28,15 @@ evaluates independently of the eigensolver.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import numerics
 from .errors import NumericalError
 from .measure import SpectralMeasure
 from .numerics import check_rank, check_scalar, power_iteration_positive, sym_eig_top
@@ -66,14 +70,22 @@ class ZeroTemperatureLimit(NamedTuple):
     lambda_floor: float  # 1/k0: couplings below this are unreachable at rank N
 
 
+def _scale_and_drag(kernel: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal 1/sqrt(2n+1) of D and the drag diagonal of the rank-N
+    operator on ``kernel``."""
+    idx = np.arange(n)
+    inv_sqrt = 1.0 / np.sqrt(2.0 * idx + 1.0)
+    prefix = np.concatenate(([0.0], np.cumsum(kernel[1:n])))
+    return inv_sqrt, 2.0 * prefix / (2.0 * idx + 1.0)
+
+
 def split_operator(kernel: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise-nonnegative exchange matrix (Toeplitz in |n-m| plus Hankel
     in n+m+1) and drag diagonal of the rank-N operator on ``kernel[0..2N-1]``
     (kernel[0] = 0: no same-site exchange).  The truncation is exchange -
     diag(drag); Matsubara kernel averages give the phonon family and
     kernel[j] = j^-gamma the gamma family."""
-    idx = np.arange(n)
-    inv_sqrt = 1.0 / np.sqrt(2.0 * idx + 1.0)
+    inv_sqrt, drag = _scale_and_drag(kernel, n)
     # Toeplitz and Hankel parts as read-only strided views of one buffer, not
     # N^2 gathers: mirrored[n-1+k] = kernel[|k|], so the Toeplitz entry (i, j)
     # is mirrored[n-1-i+j] and the Hankel entry kernel[i+j+1] is
@@ -84,8 +96,7 @@ def split_operator(kernel: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     toeplitz = np.ndarray((n, n), float, mirrored, (n - 1) * step, (-step, step))
     hankel = np.ndarray((n, n), float, mirrored, n * step, (step, step))
     exchange = (toeplitz + hankel) * np.outer(inv_sqrt, inv_sqrt)
-    prefix = np.concatenate(([0.0], np.cumsum(kernel[1:n])))
-    return exchange, 2.0 * prefix / (2.0 * idx + 1.0)
+    return exchange, drag
 
 
 def truncation(kernel: np.ndarray, n: int) -> np.ndarray:
@@ -93,6 +104,75 @@ def truncation(kernel: np.ndarray, n: int) -> np.ndarray:
     matrix, drag = split_operator(kernel, n)
     matrix[np.diag_indices(n)] -= drag
     return matrix
+
+
+@dataclass(frozen=True, eq=False)
+class SplitTruncation:
+    """The rank-N truncation ``D (T + H) D - diag(drag)`` of
+    :func:`truncation`, held as its kernel and never as an N x N array:
+    ``T`` is Toeplitz in |n-m| and ``H`` Hankel in n+m+1 on
+    ``kernel[0..2N-1]``, and ``D = diag(1/sqrt(2n+1))``.
+
+    Both operations run in real FFTs of one power-of-two length L >= 2N-1.
+    The product applies ``T`` by circulant embedding, the kernel wrapped
+    around a circle of length L, whose transform is real because the
+    wrapped kernel is even; and ``H`` as the circular cross-correlation of
+    kernel[1..2N-1] with ``y = D x``, whose transform is the kernel's times
+    the conjugate of y's (Chan and Ng, SIAM Review 38, 1996).  For output
+    and input indices i, j below N, i - j wraps only onto the kernel's own
+    mirror image and i + j stays below L, so nothing aliases.
+    :func:`eliashberg_tc.numerics.sym_eig_top` takes this form as it takes
+    a matrix.
+    """
+
+    kernel: np.ndarray
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def dense(self) -> np.ndarray:
+        """The assembled N x N truncation, O(N^2) memory."""
+        return truncation(self.kernel, self.n)
+
+    @property
+    def _fft_size(self) -> int:
+        """L, the least power of two >= 2N - 1."""
+        return 1 << (2 * self.n - 2).bit_length()
+
+    @cached_property
+    def _fft(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        n, kernel, size = self.n, self.kernel, self._fft_size
+        wrapped = np.zeros(size)
+        wrapped[:n] = kernel[:n]
+        wrapped[size - n + 1:] = kernel[n - 1:0:-1]
+        inv_sqrt, drag = _scale_and_drag(kernel, n)
+        return (size, np.fft.rfft(wrapped).real, np.fft.rfft(kernel[1:2 * n], size),
+                inv_sqrt, drag)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product with ``x``, in one real FFT pair of length L."""
+        size, toeplitz, hankel, inv_sqrt, drag = self._fft
+        spectrum = np.fft.rfft(inv_sqrt * x, size)
+        exchange = np.fft.irfft(toeplitz * spectrum + hankel * spectrum.conj(), size)
+        return inv_sqrt * exchange[:self.n] - drag * x
+
+    def quadratic_form(self, v: np.ndarray) -> float:
+        """``v^T K v``: from :data:`numerics._MATRIX_FREE_MIN_RANK` on, with
+        ``y = D v``, ``2 sum_k kernel_k r_k + sum_s kernel_{s+1} c_s -
+        sum_n drag_n v_n^2``, where ``r`` is the autocorrelation of ``y``
+        and ``c`` its self-convolution, both from one transform of ``y``;
+        below that rank, on the assembled matrix."""
+        n, kernel = self.n, self.kernel
+        if n < numerics._MATRIX_FREE_MIN_RANK:
+            return float(v @ self.dense() @ v)
+        inv_sqrt, drag = _scale_and_drag(kernel, n)
+        size = self._fft_size
+        spectrum = np.fft.rfft(inv_sqrt * v, size)
+        autocorrelation = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, size)[1:n]
+        convolution = np.fft.irfft(spectrum * spectrum, size)[:2 * n - 1]
+        return float(2.0 * (kernel[1:n] @ autocorrelation) + kernel[1:2 * n] @ convolution
+                     - drag @ (v * v))
 
 
 def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> EliashbergOperator:
@@ -110,21 +190,27 @@ def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> 
 
 
 def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> KBound:
-    """Top eigenvalue of the rank-N truncation by :func:`sym_eig_top`:
-    Lanczos from its crossover rank on, dense ``eigh`` below it or when the
-    Lanczos pair fails its certificate.
+    """Top eigenvalue of the rank-N truncation by :func:`sym_eig_top` on its
+    :class:`SplitTruncation`: matrix-free Lanczos from the crossover rank
+    ``numerics._MATRIX_FREE_MIN_RANK`` on, and below it (or when that pair
+    fails its certificate) on the assembled matrix, by Lanczos from rank 72
+    or by dense ``eigh``.
 
     The eigenvector is componentwise positive after sign normalization.
-    ``banded`` is passed to :func:`assemble_k`.  Far above the band every
-    kernel average underflows to zero; the top eigenvalue, positive in exact
+    ``banded=False`` accepts any finite positive temperature, as the trial
+    temperatures of a Tc solve need.  Far above the band every kernel
+    average underflows to zero; the top eigenvalue, positive in exact
     arithmetic, then comes out zero and a :class:`NumericalError` is raised.
     """
-    return eigensolver_bound(assemble_k(m, t, n, banded=banded).matrix, t)
+    check_rank("order", n)
+    check_scalar("temperature", t, banded=banded)
+    return eigensolver_bound(SplitTruncation(m.kernel_values(t, 2 * n - 1), n), t)
 
 
-def eigensolver_bound(mat: np.ndarray, t: float) -> KBound:
-    """:class:`KBound` of a truncation at temperature ``t`` (named in the
-    error) from :func:`sym_eig_top`, with its positive top eigenvector."""
+def eigensolver_bound(mat, t: float) -> KBound:
+    """:class:`KBound` of a truncation, dense or split, at temperature ``t``
+    (named in the error) from :func:`sym_eig_top`, with its positive top
+    eigenvector."""
     pair = sym_eig_top(mat)
     if not 0.0 < pair.value < math.inf:
         raise NumericalError(f"rank-{len(mat)} top eigenvalue {pair.value!r} at temperature "
@@ -137,21 +223,22 @@ def k_slope(m: SpectralMeasure, t: float, vector: np.ndarray) -> float:
     """Temperature slope dk_N/d(T^2) of the top eigenvalue at ``t``, given
     the unit top eigenvector ``vector`` of the rank-N truncation there
     (``KBound.eigvec``).  Any finite positive ``t`` is accepted; one whose
-    square underflows to zero (below about 2e-162) raises a
-    :class:`NumericalError`.
+    square is subnormal or zero (below about 1.5e-154) raises a
+    :class:`NumericalError`, since T^2 would keep too few digits.
 
     The top eigenvalue is simple: K + cI is entrywise positive for large
     enough c, so its top eigenvector is a Perron vector.  The truncation is
     linear in the kernel, so by Hellmann-Feynman the slope is
-    v^T truncation(d kernel/d(T^2)) v, one O(N^2) form on the kernel slopes
-    of :meth:`SpectralMeasure.kernel_slopes`.
+    v^T truncation(d kernel/d(T^2)) v, one quadratic form
+    (:meth:`SplitTruncation.quadratic_form`) on the kernel slopes of
+    :meth:`SpectralMeasure.kernel_slopes`.
     """
     check_scalar("temperature", t, banded=False)
-    if t * t == 0.0:
-        raise NumericalError(f"temperature {t!r} squares to zero; no slope in T^2 follows")
+    if t * t < sys.float_info.min:
+        raise NumericalError(f"temperature {t!r} squares below the smallest normal float; "
+                             "no slope in T^2 follows")
     n = len(vector)
-    slopes = truncation(m.kernel_slopes(t, 2 * n - 1), n)
-    return float(vector @ slopes @ vector) / (t * t)
+    return SplitTruncation(m.kernel_slopes(t, 2 * n - 1), n).quadratic_form(vector) / (t * t)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: k_limit_T0(True) must not hit the rank-1 entry

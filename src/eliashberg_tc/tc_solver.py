@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 from . import bounds, stability
 from .bounds import t_star
 from .measure import SpectralMeasure
-from .numerics import check_rank, check_scalar, newton_bracketed
+from .numerics import MAX_RANK, check_rank, check_scalar, newton_bracketed
 
 STATUS_PROVEN = "proven"
 STATUS_HEURISTIC = "heuristic"
@@ -100,15 +100,20 @@ def tc_converged(
     m: SpectralMeasure,
     lam: float,
     tol: float = 1e-6,
-    n_cap: int = 1024,
+    n_cap: int = MAX_RANK,
 ) -> TcReport:
     """Rank-doubling ladder until successive bounds agree to ``tol``.
 
-    Starts at rank four and doubles, each rank's solve starting at the
-    value of the rank below; the report carries the full ladder, the global
-    bounds, and the converged value (absent if the rank cap is reached
-    first).  The converged value is a lower bound on the true critical
-    temperature like every ladder entry.
+    Starts at rank four and doubles up to ``n_cap``, each rank's solve
+    starting at the value of the rank below; the report carries the full
+    ladder, the global bounds, and the converged value (absent if the rank
+    cap is reached first).  The converged value is a lower bound on the
+    true critical temperature like every ladder entry.  The ladder
+    converges like N^-4, each doubling cutting the step about 16-fold, so
+    weak couplings at tight tolerances need the high ranks: einstein(1) at
+    coupling 0.45 and ``tol=1e-10`` converges at rank 4096.  Ranks from
+    ``numerics._MATRIX_FREE_MIN_RANK`` on are solved without forming their
+    matrices, in O(N) memory.
     """
     check_scalar("tolerance", tol)
     check_rank("rank cap", n_cap)

@@ -24,7 +24,8 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,16 +50,24 @@ def _require(ok: bool, witness: str) -> None:
         raise CheckFailed(witness)
 
 
-_EINSTEIN = measure.einstein(1.0)
-_TWO_ATOMS = measure.discrete([(0.5, 0.8), (0.5, 1.2)])
-_TRIANGLE = measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])
-_SAMPLE_MEASURES = (
-    _EINSTEIN,
-    measure.einstein(2.5),
-    _TWO_ATOMS,
-    measure.discrete([(0.2, 0.5), (0.5, 1.0), (0.3, 2.0)]),
-    _TRIANGLE,
-)
+class _Samples(NamedTuple):
+    einstein: measure.SpectralMeasure
+    two_atoms: measure.SpectralMeasure
+    triangle: measure.SpectralMeasure
+    all: tuple[measure.SpectralMeasure, ...]  # the five sample measures
+
+
+@lru_cache(maxsize=1)
+def _samples() -> _Samples:
+    """The sample measures of the checks.  Measures memoize their moments,
+    so they are built here and not at import: emptying this cache
+    (``_samples.cache_clear()``) drops those memos with it."""
+    einstein = measure.einstein(1.0)
+    two_atoms = measure.discrete([(0.5, 0.8), (0.5, 1.2)])
+    triangle = measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)])
+    every = (einstein, measure.einstein(2.5), two_atoms,
+             measure.discrete([(0.2, 0.5), (0.5, 1.0), (0.3, 2.0)]), triangle)
+    return _Samples(einstein, two_atoms, triangle, every)
 
 
 def _zeta_direct(points, terms: int = 10**7) -> np.ndarray:
@@ -134,8 +143,8 @@ def check_zeta_oracle(fast: bool) -> str:
 def _einstein_inverse_residual(t: float) -> tuple[float, float]:
     """1/<<1>> - 2 on the unit atom at temperature ``t``, and its slope in t
     from :meth:`SpectralMeasure.kernel_slopes` (t d<<1>>/dt = 2 slope)."""
-    value = _EINSTEIN.kernel_average(1, t)
-    slope = _EINSTEIN.kernel_slopes(t, 1)[1]
+    value = _samples().einstein.kernel_average(1, t)
+    slope = _samples().einstein.kernel_slopes(t, 1)[1]
     return 1.0 / value - 2.0, -2.0 * slope / (t * value * value)
 
 
@@ -154,22 +163,22 @@ def check_newton_inverses(fast: bool) -> str:
 
 def check_kernel_monotone_in_n(fast: bool) -> str:
     temps = (0.05, 0.3, 1.0) if fast else (0.02, 0.05, 0.3, 1.0, 5.0)
-    for m in _SAMPLE_MEASURES:
+    for m in _samples().all:
         for t in temps:
             vals = m.kernel_values(t, 17)[1:]
             _require(np.all(np.diff(vals) < 0.0), f"{m.describe()} T={t}: {vals}")
-    return f"{len(_SAMPLE_MEASURES)} measures x {len(temps)} temps, n<=16"
+    return f"{len(_samples().all)} measures x {len(temps)} temps, n<=16"
 
 
 def check_kernel_high_low_T(fast: bool) -> str:
     del fast
-    for m in _SAMPLE_MEASURES:
+    for m in _samples().all:
         t = 1e4 * m.omega_max
         for n in (1, 2, 5):
             v = m.kernel_average(n, t)
             scaled = v * (2.0 * n * math.pi * t) ** 2 / m.moment(2)
             _require(abs(scaled - 1.0) <= 1e-6, f"{m.describe()} n={n}: scaled {scaled!r}")
-    for m in _SAMPLE_MEASURES:
+    for m in _samples().all:
         if m.kind == "tabulated":
             continue  # support reaches zero frequency, no atom gap
         t = 1e-6 * float(np.min(m.omegas))
@@ -271,7 +280,7 @@ def check_constant_profile_conjecture(fast: bool) -> str:
 
 def check_rank_monotonicity(fast: bool) -> str:
     n_max = 24 if fast else 64
-    for m, t in ((_EINSTEIN, 0.2), (_TWO_ATOMS, 0.08)):
+    for m, t in ((_samples().einstein, 0.2), (_samples().two_atoms, 0.08)):
         values = [stability.k_numeric(m, t, n).k_value for n in range(1, n_max + 1)]
         grows = np.diff(values) > 0.0
         _require(np.all(grows),
@@ -281,7 +290,7 @@ def check_rank_monotonicity(fast: bool) -> str:
 
 def check_zero_T_limit(fast: bool) -> str:
     orders = (1, 2, 4) if fast else (1, 2, 3, 4, 8)
-    for m in (_EINSTEIN, _TWO_ATOMS):
+    for m in (_samples().einstein, _samples().two_atoms):
         t = 1e-4 * float(np.min(m.omegas))
         for n in orders:
             got = stability.k_numeric(m, t, n).k_value
@@ -292,7 +301,7 @@ def check_zero_T_limit(fast: bool) -> str:
 
 def check_high_T_asymptotics(fast: bool) -> str:
     orders = (1, 4) if fast else (1, 4, 16)
-    for m in (_EINSTEIN, _TWO_ATOMS):
+    for m in (_samples().einstein, _samples().two_atoms):
         t = 100.0 * m.omega_max
         for n in orders:
             got = stability.k_numeric(m, t, n).k_value * (2.0 * math.pi * t) ** 2 / m.moment(2)
@@ -304,7 +313,8 @@ def check_high_T_asymptotics(fast: bool) -> str:
 
 def check_stability_eigvec_structure(fast: bool) -> str:
     orders = (4, 16) if fast else (4, 16, 64)
-    grids = ((_EINSTEIN, 0.15), (_TWO_ATOMS, 0.4), (_TRIANGLE, 0.1))
+    samples = _samples()
+    grids = ((samples.einstein, 0.15), (samples.two_atoms, 0.4), (samples.triangle, 0.1))
     for m, t in grids:
         for n in orders:
             vec = stability.k_numeric(m, t, n).eigvec
@@ -317,7 +327,7 @@ def check_stability_eigvec_structure(fast: bool) -> str:
 
 def check_T_monotone_above_threshold(fast: bool) -> str:
     points = 6 if fast else 12
-    for m in (_EINSTEIN, _TWO_ATOMS):
+    for m in (_samples().einstein, _samples().two_atoms):
         t0 = tc_solver.t_star(m)
         temps = np.geomspace(t0, 50.0 * t0, points)
         for n in (2, 4, 16):
@@ -332,7 +342,7 @@ def check_closed_vs_eig(fast: bool) -> str:
     samples = [(measure.einstein(float(varpi)), t) for varpi in varpis]
     # temperatures across the band: the lower eigenvalues cluster at the cold
     # end, the unscaled resolvent quantities under- or overflow at the hot end
-    measures = (_EINSTEIN, _TWO_ATOMS, _TRIANGLE)
+    measures = (_samples().einstein, _samples().two_atoms, _samples().triangle)
     if fast:
         samples += list(zip(measures, (1e-4, 1e-25, 1e25)))
     else:
@@ -349,7 +359,7 @@ def check_closed_vs_eig(fast: bool) -> str:
 
 
 def check_sandwich(fast: bool) -> str:
-    measures = _SAMPLE_MEASURES[: 3 if fast else 5]
+    measures = _samples().all[: 3 if fast else 5]
     temps = np.geomspace(0.05, 5.0, 4 if fast else 10)
     big_n = 32 if fast else 64
     for m in measures:
@@ -367,7 +377,7 @@ def check_sandwich(fast: bool) -> str:
 
 def check_fixed_point(fast: bool) -> str:
     orders = (4, 16) if fast else (4, 32)
-    for m in _SAMPLE_MEASURES[:3]:
+    for m in _samples().all[:3]:
         for n in orders:
             lam = stability.k_numeric(m, 0.3, n).lambda_upper
             rho = stability.c_spectral_radius(m, 0.3, lam, n, tol=1e-10)
@@ -382,7 +392,8 @@ def check_fixed_point(fast: bool) -> str:
 def check_derivative_identity(fast: bool) -> str:
     temps = (0.3, 1.0) if fast else (0.25, 0.3, 0.5, 1.0)
     sampled = 0
-    for m in (_EINSTEIN, measure.discrete([(0.5, 1.0), (0.5, 2.0)]), _TRIANGLE):
+    samples = _samples()
+    for m in (samples.einstein, measure.discrete([(0.5, 1.0), (0.5, 2.0)]), samples.triangle):
         for t in temps:
             chk = stability.dk_dT2_identity_check(m, t)
             sampled += 1
@@ -393,7 +404,7 @@ def check_derivative_identity(fast: bool) -> str:
 
 def check_scaling_covariance(fast: bool) -> str:
     del fast
-    for m in (_EINSTEIN, _TWO_ATOMS, _TRIANGLE):
+    for m in (_samples().einstein, _samples().two_atoms, _samples().triangle):
         for s in (0.5, 3.0):
             for t in (0.12, 0.9):
                 base = stability.k_numeric(m, t, 8).k_value
@@ -405,7 +416,7 @@ def check_scaling_covariance(fast: bool) -> str:
 
 def check_tc_defining_identity(fast: bool) -> str:
     lams = (2.0, 10.0) if fast else (2.0, 10.0, 100.0)
-    for m in (_EINSTEIN, _TWO_ATOMS):
+    for m in (_samples().einstein, _samples().two_atoms):
         for lam in lams:
             for n in (1, 2, 4, 8):
                 entry = tc_solver.tc_n(m, lam, n)
@@ -420,10 +431,10 @@ def check_tc_defining_identity(fast: bool) -> str:
 def check_ladder_and_brackets(fast: bool) -> str:
     lams = (2.0, 10.0) if fast else (2.0, 10.0, 100.0)
     for lam in lams:
-        values = [tc_solver.tc_n(_EINSTEIN, lam, n).value for n in (1, 2, 3, 4)]
+        values = [tc_solver.tc_n(_samples().einstein, lam, n).value for n in (1, 2, 3, 4)]
         _require(None not in values and all(a < b for a, b in zip(values, values[1:])),
                  f"lam={lam}: ladder {values}")
-        report = tc_solver.tc_converged(_EINSTEIN, lam, tol=1e-6)
+        report = tc_solver.tc_converged(_samples().einstein, lam, tol=1e-6)
         flat, tc, sharp = report.tc_flat, report.converged_tc, report.tc_sharp
         _require(tc is not None, f"lam={lam}: no convergence")
         _require(flat is None or flat < tc < sharp,
@@ -437,11 +448,11 @@ def check_ladder_and_brackets(fast: bool) -> str:
 def check_asymptotic_consistency(fast: bool) -> str:
     del fast
     lam = 1e4
-    entry = tc_solver.tc_n(_EINSTEIN, lam, 4)
-    asym = bounds.tc_asymptotic(_EINSTEIN, lam, 4)
+    entry = tc_solver.tc_n(_samples().einstein, lam, 4)
+    asym = bounds.tc_asymptotic(_samples().einstein, lam, 4)
     rel = abs(entry.value - asym) / entry.value
     _require(rel <= 1e-3, f"rel {rel!r}")
-    ceiling = bounds.tc_tilde(_EINSTEIN, lam) / math.sqrt(
+    ceiling = bounds.tc_tilde(_samples().einstein, lam) / math.sqrt(
         gamma_model.g_top(2.0, bounds.GAMMA_LIMIT_RANK).value) * math.sqrt(
         gamma_model.g_top(2.0, 4).value)
     _require(asym <= ceiling + 1e-12,
@@ -455,8 +466,9 @@ def check_sweep_determinism(fast: bool) -> str:
     points = 8 if fast else 25
     first = io.StringIO()
     second = io.StringIO()
-    cli.write_sweep(first, _EINSTEIN, 0.5, 50.0, points, normalized=True, inverse_sqrt_x=True)
-    cli.write_sweep(second, _EINSTEIN, 0.5, 50.0, points, normalized=True, inverse_sqrt_x=True)
+    for stream in (first, second):
+        cli.write_sweep(stream, _samples().einstein, 0.5, 50.0, points, normalized=True,
+                        inverse_sqrt_x=True)
     _require(first.getvalue() == second.getvalue(), "bytes differ between runs")
     return f"{points}-point sweep, twice"
 

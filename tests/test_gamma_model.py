@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,3 +199,19 @@ class TestConstantProfileBound:
             got = gamma_model.hat_quadratic_form(theta, 2.0)
             got /= gamma_model.diagonal_weighted_norm(theta)
             assert got == pytest.approx(gamma_model.constant_profile_bound(n, 2.0), rel=1e-12)
+
+
+def test_high_rank_gamma_calls_form_no_matrix():
+    # one dense 4096 x 4096 matrix alone would take 128 MiB
+    gamma_model._top_pair.cache_clear()
+    gamma_model.expected_gamma.cache_clear()
+    tracemalloc.start()
+    try:
+        gamma_model.g_top(2.0, 4096)
+        gamma_model.expected_gamma(4.0, 2.0, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gamma_model._top_pair.cache_clear()
+        gamma_model.expected_gamma.cache_clear()
+    assert peak < 16 * 2**20

@@ -88,3 +88,13 @@ def test_high_rank_eigensolve_is_traced(perfbench):
         eliashberg_tc.gamma_model._top_pair.cache_clear()
     assert outcome.rc == 0
     assert tracer.metrics()["numerics.sym_eig_top.calls"] == 1
+
+
+def test_clearing_caches_drops_the_verify_measure_memos(perfbench):
+    # verify's sample measures memoize their moments; a fresh process starts
+    # without them, and so must a run after clear_caches
+    run, _, _ = perfbench
+    eliashberg_tc.verify.check_high_T_asymptotics(True)
+    assert any(m._moment_memo for m in eliashberg_tc.verify._samples().all)
+    run.clear_caches(eliashberg_tc)
+    assert not any(m._moment_memo for m in eliashberg_tc.verify._samples().all)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from eliashberg_tc import gamma_model, measure, stability
+from eliashberg_tc import gamma_model, measure, numerics, stability
 from eliashberg_tc.errors import NumericalError, ValidationError
 
 
@@ -218,6 +218,133 @@ class TestNumericEigenvalue:
         assert np.all(kb.eigvec > 0.0)
         theta = gamma_model.theta_profile(kb.eigvec)
         assert np.all(np.diff(theta) <= 1e-12 * theta[0])
+
+
+    def test_slope_refuses_a_subnormal_square(self, einstein_unit, triangle):
+        # T^2 below the smallest normal float keeps too few digits: the
+        # triangle's slope came out -3e43 here
+        t = 1e-160
+        for m in (einstein_unit, triangle):
+            vector = stability.k_numeric(m, t, 4, banded=False).eigvec
+            with pytest.raises(NumericalError):
+                stability.k_slope(m, t, vector)
+
+
+SPLIT_MEASURES = {
+    "einstein": measure.einstein(1.0),
+    "two-atoms": measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
+    "triangle": measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)]),
+    "gapped": GAPPED,
+}
+CROSSOVER = numerics._MATRIX_FREE_MIN_RANK
+# (family, T / omega_max or gamma, rank); rank 4096 on fewer cases, since
+# each assembles a 128 MiB reference matrix
+SPLIT_CASES = [(name, x, n) for n in (CROSSOVER, 1024)
+               for name in SPLIT_MEASURES for x in (0.005, 0.02, 0.1, 1.0)]
+SPLIT_CASES += [("gamma", g, n) for n in (CROSSOVER, 1024) for g in (0.5, 1.0, 2.0, 4.0)]
+SPLIT_CASES += [(name, 0.02, 4096) for name in SPLIT_MEASURES]
+SPLIT_CASES += [("gamma", g, 4096) for g in (0.5, 2.0)]
+
+
+def _split_kernels(family: str, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of a rank-n test operator, and the kernel of a quadratic
+    form on its eigenvector: the slope kernel for phonons, gamma = 4 for
+    the gamma family (the cross expectation)."""
+    if family == "gamma":
+        return gamma_model._gamma_kernel(x, n), gamma_model._gamma_kernel(4.0, n)
+    m = SPLIT_MEASURES[family]
+    t = x * m.omega_max
+    return m.kernel_values(t, 2 * n - 1), m.kernel_slopes(t, 2 * n - 1)
+
+
+@pytest.fixture
+def lanczos_runs(monkeypatch):
+    """For each Lanczos run from here on, the split truncation whose product
+    it iterated, or None for an assembled matrix."""
+    runs = []
+    lanczos = numerics._lanczos_top
+
+    def recorded(matvec, n):
+        runs.append(getattr(matvec, "__self__", None))
+        return lanczos(matvec, n)
+
+    monkeypatch.setattr(numerics, "_lanczos_top", recorded)
+    return runs
+
+
+class TestSplitTruncation:
+    @pytest.mark.parametrize("family, x, n", SPLIT_CASES)
+    def test_matrix_free_route_matches_assembled(self, family, x, n, lanczos_runs):
+        kernel, form_kernel = _split_kernels(family, x, n)
+        split = stability.SplitTruncation(kernel, n)
+        pair = numerics.sym_eig_top(split)
+        assert lanczos_runs == [split]  # certified without assembly
+        mat = split.dense()
+        dense = numerics.sym_eig_top(mat)
+        assert abs(pair.value - dense.value) <= 1e-13 * abs(dense.value)
+        assert np.max(np.abs(pair.vector - dense.vector)) <= 1e-10
+        product = split.matvec(pair.vector)
+        assert np.max(np.abs(product - mat @ pair.vector)) <= 1e-13 * abs(dense.value)
+        del mat
+        got = stability.SplitTruncation(form_kernel, n).quadratic_form(pair.vector)
+        want = float(pair.vector @ stability.truncation(form_kernel, n) @ pair.vector)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_k_numeric_and_slope_stay_matrix_free(self, lanczos_runs, monkeypatch):
+        m, t, n = SPLIT_MEASURES["two-atoms"], 0.02, 1024
+        monkeypatch.setattr(stability, "truncation", None)  # any assembly fails
+        bound = stability.k_numeric(m, t, n)
+        slope = stability.k_slope(m, t, bound.eigvec)
+        assert len(lanczos_runs) == 1 and lanczos_runs[0] is not None
+        monkeypatch.undo()
+        mat = stability.assemble_k(m, t, n).matrix
+        assert bound.k_value == pytest.approx(numerics.sym_eig_top(mat).value, rel=1e-13)
+        slopes = stability.truncation(m.kernel_slopes(t, 2 * n - 1), n)
+        assert slope == pytest.approx(bound.eigvec @ slopes @ bound.eigvec / (t * t), rel=1e-12)
+
+    def test_below_crossover_is_assembled(self, lanczos_runs):
+        n = CROSSOVER - 1
+        split = stability.SplitTruncation(gamma_model._gamma_kernel(2.0, n), n)
+        pair = numerics.sym_eig_top(split)
+        assert lanczos_runs == [None]
+        dense = numerics.sym_eig_top(gamma_model.assemble_gamma(2.0, n))
+        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
+        vector = pair.vector
+        assert split.quadratic_form(vector) == float(vector @ split.dense() @ vector)
+
+    @pytest.mark.parametrize("fault", ["zero entry", "negative entry", "tiny scale", "huge scale"])
+    def test_ineligible_kernel_is_assembled(self, fault, lanczos_runs):
+        kernel = gamma_model._gamma_kernel(2.0, CROSSOVER)
+        if fault == "zero entry":
+            kernel[7] = 0.0
+        elif fault == "negative entry":
+            kernel[7] = -1e-3
+        else:  # beyond the 2^+-300 gate, where squared vector norms leave the range
+            kernel *= 2.0 ** (-1000 if fault == "tiny scale" else 310)
+        split = stability.SplitTruncation(kernel, CROSSOVER)
+        pair = numerics.sym_eig_top(split)
+        assert split not in lanczos_runs
+        dense = numerics.sym_eig_top(split.dense())
+        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
+
+    def test_out_of_gate_temperature_is_assembled(self, lanczos_runs, monkeypatch):
+        # at omega/T = 1e-100 every kernel average is below 1e-200
+        m = SPLIT_MEASURES["einstein"]
+        bound = stability.k_numeric(m, 1e100, CROSSOVER, banded=False)
+        assert lanczos_runs == []
+        mat = stability.truncation(m.kernel_values(1e100, 2 * CROSSOVER - 1), CROSSOVER)
+        monkeypatch.setattr(numerics, "_KRYLOV_MIN_RANK", numerics.MAX_RANK + 1)
+        assert bound.k_value == numerics.sym_eig_top(mat).value
+
+    def test_exhausted_budget_is_assembled(self, lanczos_runs, monkeypatch):
+        kernel, _ = _split_kernels("two-atoms", 0.1, CROSSOVER)
+        split = stability.SplitTruncation(kernel, CROSSOVER)
+        monkeypatch.setattr(numerics, "_KRYLOV_MAX_STEPS", 1)
+        pair = numerics.sym_eig_top(split)
+        assert lanczos_runs == [split, None]  # then the dense eigh
+        monkeypatch.setattr(numerics, "_KRYLOV_MIN_RANK", numerics.MAX_RANK + 1)
+        dense = numerics.sym_eig_top(split.dense())
+        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
 
 
 def _k_oracle(m: measure.SpectralMeasure, t: float, n: int) -> mpmath.mpf:

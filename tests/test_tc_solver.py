@@ -231,3 +231,12 @@ class TestWarmStart:
             assert cold.status == entry.status
             if entry.value is not None:
                 assert abs(entry.value - cold.value) <= 1e-13 * cold.value, entry.n
+
+
+def test_weak_coupling_ladder_converges_at_the_rank_cap():
+    # the ladder converges like N^-4, so 1e-10 at coupling 0.45 needs rank
+    # 4096, the default cap
+    report = tc_solver.tc_converged(measure.einstein(1.0), 0.45, tol=1e-10)
+    assert report.converged_n == 4096 == report.ladder[-1].n
+    values = [entry.value for entry in report.ladder]
+    assert all(b > a for a, b in zip(values, values[1:]))
