@@ -53,8 +53,8 @@ def cmd_bounds(args) -> int:
     rows = [(f"k_{k.n} ({route})", k.k_value, "lower bound on k", "proven") for k, route in routes]
     rows.append(("k_star (spectral estimate)", table.k_star, "upper bound on k", "proven"))
     rows.append(("k_sharp (moment only)", table.k_sharp, "upper bound on k", "proven"))
-    rows.extend((f"Lambda_{k.n} = 1/k_{k.n}", k.lambda_upper, "upper bound on Lambda", "proven")
-                for k, _ in routes)
+    rows.extend((f"Lambda_{k.n} = 1/k_{k.n} ({route})", k.lambda_upper, "upper bound on Lambda",
+                 "proven") for k, route in routes)
     rows.append(("1/k_star", 1.0 / table.k_star, "lower bound on Lambda", "proven"))
     rows.append(("1/k_sharp", 1.0 / table.k_sharp, "lower bound on Lambda", "proven"))
     print(f"# measure: {m.describe()}   temperature: {_fmt(t)}")

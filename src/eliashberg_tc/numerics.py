@@ -1,15 +1,15 @@
 """Shared numerical kernels and the input domain.
 
-Symmetric top-eigenpair extraction (dense, or Lanczos for large matrices
-with positive off-diagonal entries, on the matrix or on the matrix-free
-product of a split truncation), positive-cone power iteration,
-Riemann zeta evaluation, and the bracketed Newton iteration that solves for
-critical temperatures.  Adaptive quadrature and monotone bisection remain
-as stand-alone routines that the package itself no longer calls.  All
-routines are pure functions of their arguments and safe to call
-concurrently.  Accuracy contracts (not algorithms) are the interface; the
-defaults live in one configuration record so every tolerance used anywhere
-in the package is visible in a single place, and so is the input domain.
+Symmetric top-eigenpair extraction (dense ``eigh``, or Lanczos on the
+product of a large split truncation with a positive kernel), positive-cone
+power iteration, Riemann zeta evaluation, and the bracketed Newton
+iteration that solves for critical temperatures.  Adaptive quadrature and
+monotone bisection remain as stand-alone routines that the package itself
+no longer calls.  All routines are pure functions of their arguments and
+safe to call concurrently.  Accuracy contracts (not algorithms) are the
+interface; the defaults live in one configuration record so every
+tolerance used anywhere in the package is visible in a single place, and so
+is the input domain.
 """
 
 from __future__ import annotations
@@ -53,23 +53,13 @@ _NEWTON_MAX_EVALS = 100
 # MAX_RANK x MAX_RANK float64 matrix takes 8 * 4096^2 bytes = 128 MiB, and
 # assembly holds a few at once.
 MAX_RANK = 4096
-# sym_eig_top runs Lanczos on the O(N log N) matrix-vector product of a split
-# truncation from this rank on, without forming the matrix; below it the
-# split truncation is assembled, and SplitTruncation.quadratic_form reads the
-# assembled matrix.  Measured with one BLAS thread, best of 5, on the gamma
-# (gamma 0.5, 2), einstein and two-atom (T = 0.02) operators, two rounds: the
-# assembled route takes 0.4-0.5 ms at N = 128, 0.8-1.5 at 224, 0.9-1.6 at
-# 256 and 5-6 at 512; the matrix-free one 0.6-1.2, 0.7-1.5, 0.7-1.0 and
-# 0.9-1.6.  At 256 it was the faster in all 8 pairs, at 224 in 5.  Rank 256
-# itself stays assembled: it is bounds.GAMMA_LIMIT_RANK, behind Tc_tilde in
-# every tc report, and a ladder rank, so every report whose ladder stops by
-# rank 256 keeps the bits of the assembled route.
-_MATRIX_FREE_MIN_RANK = 257
-# sym_eig_top tries Lanczos on an assembled matrix from this rank on; below
-# it dense eigh is faster.  Measured like the crossover above, two rounds:
-# dense eigh takes 0.30-0.37 ms at N = 56, 0.39-0.41 at 64 and 0.53-0.76 at
-# 72; Lanczos 0.30-0.35, 0.29-0.47 and 0.29-0.37: the faster in 3 of 8
-# pairs at 56, 7 of 8 at 64 and all 8 from 72 on.
+# sym_eig_top tries Lanczos on a split truncation from this rank on; below
+# it dense eigh is faster.  Measured with one BLAS thread, best of 5, on the
+# gamma (gamma 0.5, 2), einstein and two-atom (T = 0.02) operators, two
+# rounds: dense eigh takes 0.30-0.37 ms at N = 56, 0.39-0.41 at 64 and
+# 0.53-0.76 at 72; Lanczos on the assembled matrix 0.30-0.35, 0.29-0.47 and
+# 0.29-0.37: the faster in 3 of 8 pairs at 56, 7 of 8 at 64 and all 8 from
+# 72 on.
 _KRYLOV_MIN_RANK = 72
 # Lanczos steps before sym_eig_top falls back to eigh; the operators of this
 # package converge in 13-15.
@@ -132,29 +122,12 @@ def _exactly_symmetric(m: np.ndarray) -> bool:
                for i in range(0, n, tile) for j in range(i, n, tile))
 
 
-def _krylov_eligible(m: np.ndarray) -> bool:
-    """Whether the symmetric ``m`` takes the Lanczos route: rank at least
-    ``_KRYLOV_MIN_RANK``, every off-diagonal entry positive, and its largest
-    entry in (1/_KRYLOV_SCALE, _KRYLOV_SCALE), so that no squared vector
-    norm of the iteration under- or overflows.
-
-    Without the last diagonal entry, the flattened matrix is n-1 rows of n+1
-    entries, each row starting at a diagonal entry: the rest of the rows are
-    the off-diagonal entries, read in place.
-    """
-    n = len(m)
-    if n < _KRYLOV_MIN_RANK:
-        return False
-    off = m.reshape(-1)[:-1].reshape(n - 1, n + 1)[:, 1:]
-    big = max(float(np.max(off)), float(np.max(np.abs(np.diag(m)))))
-    return float(np.min(off)) > 0.0 and 1.0 / _KRYLOV_SCALE < big < _KRYLOV_SCALE
-
-
 def _kernel_eligible(kernel: np.ndarray) -> bool:
-    """Whether a split truncation takes the matrix-free Lanczos route: every
-    kernel entry past the first positive, which makes every off-diagonal
-    entry positive, and the largest inside the scale gate of
-    :func:`_krylov_eligible`.  O(N); NaN fails both tests."""
+    """Whether a split truncation takes the Lanczos route: every kernel
+    entry past the first positive, which makes every off-diagonal entry
+    positive, and the largest in (1/_KRYLOV_SCALE, _KRYLOV_SCALE), so that
+    no squared vector norm of the iteration under- or overflows.  O(N); NaN
+    fails both tests."""
     entries = kernel[1:]
     big = float(np.max(entries))
     return float(np.min(entries)) > 0.0 and 1.0 / _KRYLOV_SCALE < big < _KRYLOV_SCALE
@@ -223,25 +196,22 @@ def _residual(m: np.ndarray, value: float, vector: np.ndarray) -> float:
 
 def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual) -> EigenPair:
     """Algebraically largest eigenvalue of a real symmetric matrix, given
-    dense or as a split truncation.
+    dense or as a split truncation; two routes give the same pair to
+    rounding.
 
     A split truncation (:class:`eliashberg_tc.stability.SplitTruncation`)
     holds the rank-N operator as its kernel: ``len()`` is N, ``kernel`` its
-    2N kernel numbers, ``matvec(x)`` applies it in O(N log N) and
-    ``dense()`` assembles it.  From rank ``_MATRIX_FREE_MIN_RANK`` on, a
-    split truncation whose kernel passes :func:`_kernel_eligible` goes to
-    Lanczos on ``matvec``, and no N x N array is formed.  Below that rank,
-    or when the kernel is not eligible or the pair fails its certificate
-    below, it is assembled and takes the dense routes.
-
-    Two dense routes give the same pair to rounding.  A matrix of rank
-    ``_KRYLOV_MIN_RANK`` or more whose off-diagonal entries are all positive
-    is irreducible and Metzler, so its top eigenvector is a positive Perron
-    vector, which the positive Lanczos start vector cannot be orthogonal to;
-    it goes to Lanczos (:func:`_lanczos_top`, O(N^2) per step for 10-15
-    steps).  Every Lanczos pair is kept only if it meets the residual
+    2N kernel numbers, ``matvec(x)`` applies it (by the matrix or by FFT, as
+    the split picks) and ``dense()`` assembles it.  From rank
+    ``_KRYLOV_MIN_RANK`` on, a split truncation whose kernel passes
+    :func:`_kernel_eligible` has positive off-diagonal entries, so it is
+    irreducible and Metzler and its top eigenvector is a positive Perron
+    vector, which the positive Lanczos start vector cannot be orthogonal
+    to.  It goes once to Lanczos on ``matvec`` (:func:`_lanczos_top`, 10-15
+    products).  The Lanczos pair is kept only if it meets the residual
     contract below and its vector is strictly positive.  Otherwise, and for
-    every other matrix, the pair comes from a dense ``eigh``, O(N^3).
+    every other split truncation, ``dense()`` takes the second route, and a
+    dense ndarray always does: a validated dense ``eigh``, O(N^3).
 
     Parameters
     ----------
@@ -258,7 +228,7 @@ def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual) -> Eigen
         Deterministic for fixed input.
     """
     if hasattr(matrix, "matvec"):
-        if len(matrix) >= _MATRIX_FREE_MIN_RANK and _kernel_eligible(matrix.kernel):
+        if len(matrix) >= _KRYLOV_MIN_RANK and _kernel_eligible(matrix.kernel):
             pair = _certified_ritz(matrix.matvec, len(matrix), residual_tol)
             if pair is not None:
                 return pair
@@ -270,10 +240,6 @@ def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual) -> Eigen
         raise ValidationError("matrix has non-finite entries")
     if not _exactly_symmetric(m):
         raise ValidationError("matrix is not exactly symmetric")
-    if _krylov_eligible(m):
-        pair = _certified_ritz(lambda x: m @ x, len(m), residual_tol)
-        if pair is not None:
-            return pair
     eigvals, eigvecs = np.linalg.eigh(m)
     value = float(eigvals[-1])
     vector = _sign_normalize(eigvecs[:, -1].copy())

@@ -12,9 +12,10 @@ and on the diagonal the same-site exchange term is replaced by the drag
 
 Both parts come from :func:`split_operator`, the one assembly routine
 shared with the gamma family (:mod:`eliashberg_tc.gamma_model`), which
-plugs inverse powers j^-gamma into the same kernel slots.  Eigensolves and
-quadratic forms take the truncation as a :class:`SplitTruncation`, its
-kernel alone, which high ranks apply by FFT without assembling it.
+plugs inverse powers j^-gamma into the same kernel slots.  A truncation is
+held as a :class:`SplitTruncation`, its kernel alone, which assembles its
+matrix once on demand and which high ranks apply by FFT without assembling
+it.
 
 Its top eigenvalue k_N(P, T) increases with N toward the stability
 threshold k(P, T); the reciprocal 1/k_N is a decreasing chain of upper
@@ -30,28 +31,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import numerics
 from .errors import NumericalError
 from .measure import SpectralMeasure
 from .numerics import check_rank, check_scalar, power_iteration_positive, sym_eig_top
-
-
-@dataclass(frozen=True)
-class EliashbergOperator:
-    """Assembled rank-N truncation with its cached kernel averages."""
-
-    matrix: np.ndarray
-    kernel: np.ndarray  # kernel[j] = <<j>>, j = 1 .. 2N-1; kernel[0] = 0
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.kernel.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -106,23 +93,39 @@ def truncation(kernel: np.ndarray, n: int) -> np.ndarray:
     return matrix
 
 
+# SplitTruncation.matvec applies the assembled matrix below this rank and the
+# O(N log N) FFT product from it on, so from here on the Lanczos route of
+# sym_eig_top forms no N x N array.  Measured with one BLAS thread, best of
+# 5, on the gamma (gamma 0.5, 2), einstein and two-atom (T = 0.02)
+# operators, two rounds: assembly plus Lanczos on the matrix takes 0.4-0.5
+# ms at N = 128, 0.8-1.5 at 224, 0.9-1.6 at 256 and 5-6 at 512; the FFT
+# product 0.6-1.2, 0.7-1.5, 0.7-1.0 and 0.9-1.6.  At 256 it was the faster
+# in all 8 pairs, at 224 in 5.  Rank 256 itself stays assembled: it is
+# bounds.GAMMA_LIMIT_RANK, behind Tc_tilde in every tc report, and a ladder
+# rank, so every report whose ladder stops by rank 256 keeps the bits of the
+# assembled product.
+_MATRIX_FREE_MIN_RANK = 257
+
+
 @dataclass(frozen=True, eq=False)
 class SplitTruncation:
     """The rank-N truncation ``D (T + H) D - diag(drag)`` of
-    :func:`truncation`, held as its kernel and never as an N x N array:
-    ``T`` is Toeplitz in |n-m| and ``H`` Hankel in n+m+1 on
-    ``kernel[0..2N-1]``, and ``D = diag(1/sqrt(2n+1))``.
+    :func:`truncation`, held as its kernel: ``T`` is Toeplitz in |n-m| and
+    ``H`` Hankel in n+m+1 on ``kernel[0..2N-1]``, and
+    ``D = diag(1/sqrt(2n+1))``.  It is the one form of a truncation that
+    :func:`assemble_k` returns and :func:`eliashberg_tc.numerics.sym_eig_top`
+    takes.
 
-    Both operations run in real FFTs of one power-of-two length L >= 2N-1.
-    The product applies ``T`` by circulant embedding, the kernel wrapped
-    around a circle of length L, whose transform is real because the
-    wrapped kernel is even; and ``H`` as the circular cross-correlation of
-    kernel[1..2N-1] with ``y = D x``, whose transform is the kernel's times
-    the conjugate of y's (Chan and Ng, SIAM Review 38, 1996).  For output
-    and input indices i, j below N, i - j wraps only onto the kernel's own
-    mirror image and i + j stays below L, so nothing aliases.
-    :func:`eliashberg_tc.numerics.sym_eig_top` takes this form as it takes
-    a matrix.
+    Its product picks its own route.  Below ``_MATRIX_FREE_MIN_RANK`` it is
+    the assembled matrix of :meth:`dense`, built once per instance.  From
+    there on it runs in real FFTs of one power-of-two length L >= 2N-1 and
+    no N x N array is formed: ``T`` by circulant embedding, the kernel
+    wrapped around a circle of length L, whose transform is real because
+    the wrapped kernel is even; and ``H`` as the circular cross-correlation
+    of kernel[1..2N-1] with ``y = D x``, whose transform is the kernel's
+    times the conjugate of y's (Chan and Ng, SIAM Review 38, 1996).  For
+    output and input indices i, j below N, i - j wraps only onto the
+    kernel's own mirror image and i + j stays below L, so nothing aliases.
     """
 
     kernel: np.ndarray
@@ -131,18 +134,21 @@ class SplitTruncation:
     def __len__(self) -> int:
         return self.n
 
-    def dense(self) -> np.ndarray:
-        """The assembled N x N truncation, O(N^2) memory."""
-        return truncation(self.kernel, self.n)
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        matrix = truncation(self.kernel, self.n)
+        matrix.setflags(write=False)
+        return matrix
 
-    @property
-    def _fft_size(self) -> int:
-        """L, the least power of two >= 2N - 1."""
-        return 1 << (2 * self.n - 2).bit_length()
+    def dense(self) -> np.ndarray:
+        """The assembled N x N truncation, read-only, assembled on the first
+        call only; O(N^2) memory."""
+        return self._matrix
 
     @cached_property
     def _fft(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        n, kernel, size = self.n, self.kernel, self._fft_size
+        n, kernel = self.n, self.kernel
+        size = 1 << (2 * n - 2).bit_length()  # L, the least power of two >= 2N - 1
         wrapped = np.zeros(size)
         wrapped[:n] = kernel[:n]
         wrapped[size - n + 1:] = kernel[n - 1:0:-1]
@@ -151,50 +157,39 @@ class SplitTruncation:
                 inv_sqrt, drag)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """The product with ``x``, in one real FFT pair of length L."""
+        """The product with ``x``: by the assembled matrix below
+        ``_MATRIX_FREE_MIN_RANK``, from there on in one real FFT pair of
+        length L."""
+        if self.n < _MATRIX_FREE_MIN_RANK:
+            return self.dense() @ x
         size, toeplitz, hankel, inv_sqrt, drag = self._fft
         spectrum = np.fft.rfft(inv_sqrt * x, size)
         exchange = np.fft.irfft(toeplitz * spectrum + hankel * spectrum.conj(), size)
         return inv_sqrt * exchange[:self.n] - drag * x
 
     def quadratic_form(self, v: np.ndarray) -> float:
-        """``v^T K v``: from :data:`numerics._MATRIX_FREE_MIN_RANK` on, with
-        ``y = D v``, ``2 sum_k kernel_k r_k + sum_s kernel_{s+1} c_s -
-        sum_n drag_n v_n^2``, where ``r`` is the autocorrelation of ``y``
-        and ``c`` its self-convolution, both from one transform of ``y``;
-        below that rank, on the assembled matrix."""
-        n, kernel = self.n, self.kernel
-        if n < numerics._MATRIX_FREE_MIN_RANK:
-            return float(v @ self.dense() @ v)
-        inv_sqrt, drag = _scale_and_drag(kernel, n)
-        size = self._fft_size
-        spectrum = np.fft.rfft(inv_sqrt * v, size)
-        autocorrelation = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, size)[1:n]
-        convolution = np.fft.irfft(spectrum * spectrum, size)[:2 * n - 1]
-        return float(2.0 * (kernel[1:n] @ autocorrelation) + kernel[1:2 * n] @ convolution
-                     - drag @ (v * v))
+        """``v^T K v``, as ``v`` times the product :meth:`matvec`."""
+        return float(v @ self.matvec(v))
 
 
-def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> EliashbergOperator:
-    """Assemble the rank-N truncation at temperature ``t``.
-
-    The 2N-1 kernel averages are computed once and cached on the result;
-    every matrix entry is a combination of them.  Symmetry is exact by
-    construction.  ``banded=False`` accepts any finite positive temperature,
-    as the trial temperatures of a Tc solve need.
+def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> SplitTruncation:
+    """The rank-N truncation at temperature ``t``, as its
+    :class:`SplitTruncation` on the 2N-1 kernel averages: every matrix entry
+    is a combination of them, and :meth:`SplitTruncation.dense` assembles
+    the matrix, exactly symmetric by construction.  ``banded=False`` accepts
+    any finite positive temperature, as the trial temperatures of a Tc solve
+    need.
     """
     check_rank("order", n)
     check_scalar("temperature", t, banded=banded)
-    kernel = m.kernel_values(t, 2 * n - 1)
-    return EliashbergOperator(matrix=truncation(kernel, n), kernel=kernel)
+    return SplitTruncation(m.kernel_values(t, 2 * n - 1), n)
 
 
 def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> KBound:
-    """Top eigenvalue of the rank-N truncation by :func:`sym_eig_top` on its
-    :class:`SplitTruncation`: matrix-free Lanczos from the crossover rank
-    ``numerics._MATRIX_FREE_MIN_RANK`` on, and below it (or when that pair
-    fails its certificate) on the assembled matrix, by Lanczos from rank 72
-    or by dense ``eigh``.
+    """Top eigenvalue of the rank-N truncation by :func:`sym_eig_top` on the
+    :class:`SplitTruncation` of :func:`assemble_k`: Lanczos on its own
+    product from rank 72 on, dense ``eigh`` below that rank or when the
+    Lanczos pair fails its certificate.
 
     The eigenvector is componentwise positive after sign normalization.
     ``banded=False`` accepts any finite positive temperature, as the trial
@@ -202,9 +197,7 @@ def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> K
     average underflows to zero; the top eigenvalue, positive in exact
     arithmetic, then comes out zero and a :class:`NumericalError` is raised.
     """
-    check_rank("order", n)
-    check_scalar("temperature", t, banded=banded)
-    return eigensolver_bound(SplitTruncation(m.kernel_values(t, 2 * n - 1), n), t)
+    return eigensolver_bound(assemble_k(m, t, n, banded=banded), t)
 
 
 def eigensolver_bound(mat, t: float) -> KBound:
@@ -241,18 +234,31 @@ def k_slope(m: SpectralMeasure, t: float, vector: np.ndarray) -> float:
     return SplitTruncation(m.kernel_slopes(t, 2 * n - 1), n).quadratic_form(vector) / (t * t)
 
 
+def _odd_reciprocal_sum(lo: int, hi: int) -> tuple[int, int]:
+    """Numerator and denominator of sum_{k=lo}^{hi-1} 1/(2k+1), not reduced,
+    by binary splitting: each half is summed the same way, so the integers
+    multiplied stay of balanced size."""
+    if hi - lo == 1:
+        return 1, 2 * lo + 1
+    mid = (lo + hi) // 2
+    p_lo, q_lo = _odd_reciprocal_sum(lo, mid)
+    p_hi, q_hi = _odd_reciprocal_sum(mid, hi)
+    return p_lo * q_hi + p_hi * q_lo, q_lo * q_hi
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: k_limit_T0(True) must not hit the rank-1 entry
 def k_limit_T0(n: int) -> ZeroTemperatureLimit:
     """Measure-independent zero-temperature limit of the rank-N eigenvalue:
     k0 = -1 + 2 * sum_{k=0}^{N-1} 1/(2k+1), and the coupling floor 1/k0.
 
-    Evaluated in exact rational arithmetic and rounded once, so small ranks
+    Evaluated exactly, as a ratio of integers, and rounded once (the true
+    division of two Python integers is correctly rounded), so small ranks
     come out as the exact fractions (5/3 and 3/5 at rank two, 247/105 at
     rank four).
     """
     check_rank("order", n)
-    k0 = Fraction(-1) + 2 * sum(Fraction(1, 2 * k + 1) for k in range(n))
-    return ZeroTemperatureLimit(k0=float(k0), lambda_floor=float(1 / k0))
+    p, q = _odd_reciprocal_sum(0, n)
+    return ZeroTemperatureLimit(k0=(2 * p - q) / q, lambda_floor=q / (2 * p - q))
 
 
 # -- closed forms for ranks one to four --------------------------------------
@@ -381,7 +387,7 @@ def k_closed_form(m: SpectralMeasure, t: float, n: int) -> KBound:
     returning a noise-dominated value.
     """
     check_rank("closed-form rank", n, 1, 4)
-    return closed_form_bound(assemble_k(m, t, n).matrix)
+    return closed_form_bound(assemble_k(m, t, n).dense())
 
 
 def lambda2_closed(m: SpectralMeasure, t: float) -> float:

@@ -111,9 +111,9 @@ def tc_converged(
     true critical temperature like every ladder entry.  The ladder
     converges like N^-4, each doubling cutting the step about 16-fold, so
     weak couplings at tight tolerances need the high ranks: einstein(1) at
-    coupling 0.45 and ``tol=1e-10`` converges at rank 4096.  Ranks from
-    ``numerics._MATRIX_FREE_MIN_RANK`` on are solved without forming their
-    matrices, in O(N) memory.
+    coupling 0.45 and ``tol=1e-10`` converges at rank 4096.  Ranks from 257
+    on, where :class:`stability.SplitTruncation` applies its FFT product,
+    are solved without forming their matrices, in O(N) memory.
     """
     check_scalar("tolerance", tol)
     check_rank("rank cap", n_cap)

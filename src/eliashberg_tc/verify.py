@@ -349,7 +349,7 @@ def check_closed_vs_eig(fast: bool) -> str:
         samples += [(m, 10.0 ** k) for m in measures for k in range(-30, 31)]
     for m, t in samples:
         # both routes on the leading blocks of one rank-four truncation
-        mat = stability.assemble_k(m, t, 4).matrix
+        mat = stability.assemble_k(m, t, 4).dense()
         for n in (1, 2, 3, 4):
             closed = stability.closed_form_bound(mat[:n, :n]).k_value
             eig = stability.eigensolver_bound(mat[:n, :n], t).k_value

@@ -47,6 +47,15 @@ class TestBoundsCommand:
                 continue
             assert "bound" in line and ("proven" in line or "conjectured" in line)
 
+    def test_row_labels_are_unique(self, einstein_file, capsys):
+        # at --max-n 4 rank four has a closed-form and an eigensolver row for
+        # both k_4 and Lambda_4; each label names its route
+        assert cli.main(["bounds", einstein_file, "--temperature", "0.2", "--max-n", "4"]) == 0
+        labels = [line.split("  ")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(labels) == 14 and len(set(labels)) == len(labels)
+        assert "Lambda_4 = 1/k_4 (closed form)" in labels
+        assert "Lambda_4 = 1/k_4 (eigensolver)" in labels
+
     def test_malformed_file_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")

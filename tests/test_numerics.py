@@ -96,38 +96,48 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
-def _dense_top(mat: np.ndarray, monkeypatch) -> numerics.EigenPair:
-    """sym_eig_top with the Lanczos route switched off."""
-    with monkeypatch.context() as patch:
-        patch.setattr(numerics, "_KRYLOV_MIN_RANK", numerics.MAX_RANK + 1)
-        return sym_eig_top(mat)
-
-
 KRYLOV_MEASURES = {
     "einstein": measure.einstein(1.0),
     "two-atoms": measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
     "triangle": measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)]),
 }
-KRYLOV_RANKS = [numerics._KRYLOV_MIN_RANK, 256, 1024]
+# three ranks where a split truncation's product is its assembled matrix,
+# and one where it is the FFT
+KRYLOV_RANKS = [numerics._KRYLOV_MIN_RANK, 128, 256, 1024]
 # (family, T / omega_max or gamma, rank)
 KRYLOV_CASES = [(name, x, n) for n in KRYLOV_RANKS
                 for name in KRYLOV_MEASURES for x in (0.005, 0.02, 0.1, 1.0)]
 KRYLOV_CASES += [("gamma", x, n) for n in KRYLOV_RANKS for x in (0.5, 1.0, 2.0, 4.0)]
 
 
-def _operator(family: str, x: float, n: int) -> np.ndarray:
+def _operator(family: str, x: float, n: int) -> stability.SplitTruncation:
     if family == "gamma":
-        return gamma_model.assemble_gamma(x, n)
+        return stability.SplitTruncation(gamma_model._gamma_kernel(x, n), n)
     m = KRYLOV_MEASURES[family]
-    return stability.assemble_k(m, x * float(np.max(m.omegas)), n).matrix
+    return stability.assemble_k(m, x * float(np.max(m.omegas)), n)
+
+
+@pytest.fixture
+def lanczos_calls(monkeypatch):
+    """The number of Lanczos runs from here on, as a one-element list."""
+    calls = [0]
+    lanczos = numerics._lanczos_top
+
+    def counted(matvec, n):
+        calls[0] += 1
+        return lanczos(matvec, n)
+
+    monkeypatch.setattr(numerics, "_lanczos_top", counted)
+    return calls
 
 
 class TestKrylovRoute:
     @pytest.mark.parametrize("family, x, n", KRYLOV_CASES)
     def test_matches_dense(self, family, x, n, eigh_sizes):
-        mat = _operator(family, x, n)
-        pair = sym_eig_top(mat)
+        split = _operator(family, x, n)
+        pair = sym_eig_top(split)
         assert max(eigh_sizes) <= numerics._KRYLOV_MAX_STEPS  # no dense eigh was made
+        mat = split.dense()
         top = np.linalg.eigvalsh(mat)[-1]
         assert abs(pair.value - top) <= 1e-13 * abs(top)
         vector = np.linalg.eigh(mat)[1][:, -1]
@@ -136,62 +146,84 @@ class TestKrylovRoute:
         theta = gamma_model.theta_profile(pair.vector)
         assert not np.any(np.diff(theta) > 1e-12 * theta[0])
 
-    def test_negative_off_diagonal_pair_takes_dense_route(self, eigh_sizes, monkeypatch):
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_dense_matrix_takes_eigh(self, sign, eigh_sizes, lanczos_calls):
+        # an ndarray takes the validated eigh route whatever its entries,
+        # and matches eigh bit for bit
         mat = gamma_model.assemble_gamma(2.0, 128).copy()
-        mat[3, 40] = mat[40, 3] = -0.01
+        mat[3, 40] = mat[40, 3] = sign * 0.01
         pair = sym_eig_top(mat)
-        assert eigh_sizes == [128]
-        dense = _dense_top(mat, monkeypatch)
-        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
+        assert eigh_sizes == [128] and lanczos_calls == [0]
+        values, vectors = np.linalg.eigh(mat)
+        vector = vectors[:, -1] * np.sign(vectors[0, -1])
+        vector /= np.linalg.norm(vector)
+        assert pair.value == values[-1] and np.array_equal(pair.vector, vector)
 
-    def test_exhausted_budget_falls_back_to_dense(self, eigh_sizes, monkeypatch):
-        mat = stability.assemble_k(KRYLOV_MEASURES["two-atoms"], 0.1, 200).matrix
+    def test_exhausted_budget_falls_back_to_dense(self, eigh_sizes, lanczos_calls, monkeypatch):
+        split = stability.assemble_k(KRYLOV_MEASURES["two-atoms"], 0.1, 200)
         monkeypatch.setattr(numerics, "_KRYLOV_MAX_STEPS", 1)
-        pair = sym_eig_top(mat)
-        assert eigh_sizes == [1, 200]
-        dense = _dense_top(mat, monkeypatch)
+        pair = sym_eig_top(split)
+        assert eigh_sizes == [1, 200] and lanczos_calls == [1]
+        dense = sym_eig_top(split.dense())
         assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
 
-    @pytest.mark.parametrize("fault", ["vector sign", "value"])
-    def test_uncertified_ritz_pair_falls_back_to_dense(self, fault, eigh_sizes, monkeypatch):
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_uncertified_ritz_pair_falls_back_to_dense(self, n, eigh_sizes, lanczos_calls,
+                                                       monkeypatch):
         # with its value moved by 1e-6 the Ritz pair stays positive but misses
-        # the residual contract.  A last row and column coupled by 1e-12 give
-        # the Perron vector a last component near 1e-16: with its sign flipped
-        # the pair still meets the contract but is not positive.
-        mat = gamma_model.assemble_gamma(2.0, 128).copy()
-        if fault == "vector sign":
-            mat[-1] *= 1e-12
-            mat[:, -1] *= 1e-12
-            mat[-1, -1] = -100.0
+        # the residual contract, on the assembled product at 128 and the FFT
+        # product at 512
         lanczos = numerics._lanczos_top
 
         def faulty(matvec, n):
             value, vector = lanczos(matvec, n)
-            if fault == "value":
-                assert np.all(vector * vector[0] > 0.0)
-                return value + 1e-6, vector
+            assert np.all(vector * vector[0] > 0.0)
+            return value + 1e-6, vector
+
+        monkeypatch.setattr(numerics, "_lanczos_top", faulty)
+        split = _operator("gamma", 2.0, n)
+        pair = sym_eig_top(split)
+        # one Lanczos run, then one dense eigh
+        assert lanczos_calls == [1] and eigh_sizes[-1] == n
+        assert [size for size in eigh_sizes if size > numerics._KRYLOV_MAX_STEPS] == [n]
+        dense = sym_eig_top(split.dense())
+        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
+
+    def test_sign_fault_fails_the_positivity_certificate(self, monkeypatch):
+        # a last row and column coupled by 1e-12 give the Perron vector a
+        # last component near 1e-16: with its sign flipped the pair still
+        # meets the residual contract but is not positive
+        base = gamma_model.assemble_gamma(2.0, 128)
+        tol = numerics.DEFAULT_TOL.eig_residual
+        certified = numerics._certified_ritz(lambda x: base @ x, 128, tol)
+        assert certified is not None and np.all(certified.vector > 0.0)
+        mat = base.copy()
+        mat[-1] *= 1e-12
+        mat[:, -1] *= 1e-12
+        mat[-1, -1] = -100.0
+        lanczos = numerics._lanczos_top
+
+        def faulty(matvec, n):
+            value, vector = lanczos(matvec, n)
             vector[-1] = -math.copysign(vector[-1], vector[0])
-            assert np.linalg.norm(matvec(vector) - value * vector) <= 1e-10 * (1.0 + abs(value))
+            assert np.linalg.norm(matvec(vector) - value * vector) <= tol * (1.0 + abs(value))
             return value, vector
 
         monkeypatch.setattr(numerics, "_lanczos_top", faulty)
-        pair = sym_eig_top(mat)
-        assert eigh_sizes[-1] == 128
-        dense = _dense_top(mat, monkeypatch)
-        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
+        assert numerics._certified_ritz(lambda x: mat @ x, 128, tol) is None
 
-    def test_tiny_entries_take_dense_route(self, eigh_sizes, monkeypatch):
+    def test_tiny_entries_take_dense_route(self, eigh_sizes, lanczos_calls):
         # at omega/T = 1e-100 every entry is below 1e-200, where squared
         # vector norms underflow; the dense route scales the matrix itself
         kb = stability.k_numeric(KRYLOV_MEASURES["einstein"], 1e100, 128, banded=False)
-        assert eigh_sizes == [128]
-        mat = stability.assemble_k(KRYLOV_MEASURES["einstein"], 1e100, 128, banded=False).matrix
-        assert kb.k_value == _dense_top(mat, monkeypatch).value
+        assert eigh_sizes == [128] and lanczos_calls == [0]
+        split = stability.assemble_k(KRYLOV_MEASURES["einstein"], 1e100, 128, banded=False)
+        assert kb.k_value == sym_eig_top(split.dense()).value
 
-    def test_below_crossover_is_dense(self, eigh_sizes):
+    def test_below_crossover_is_dense(self, eigh_sizes, lanczos_calls):
         n = numerics._KRYLOV_MIN_RANK - 1
-        sym_eig_top(gamma_model.assemble_gamma(2.0, n))
-        assert eigh_sizes == [n]
+        sym_eig_top(_operator("gamma", 2.0, n))
+        assert eigh_sizes == [n] and lanczos_calls == [0]
 
 
 class TestPowerIteration:

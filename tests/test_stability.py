@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ class TestAssembly:
         else:
             m = {"discrete": two_atoms, "tabulated": triangle}.get(case, einstein_unit)
             op = stability.assemble_k(m, 1e-10 if case == "ultracold" else 0.13, n)
-            matrix, kernel = op.matrix, op.kernel
+            matrix, kernel = op.dense(), op.kernel
             # at T = 1e-10 every average of the unit atom rounds to one
             assert np.all(kernel[1:] == 1.0) == (case == "ultracold")
         exchange, drag = stability.split_operator(kernel, n)
@@ -51,21 +52,21 @@ class TestAssembly:
     def test_rank_one_entry(self):
         m, t = varpi_atom(1.0)
         op = stability.assemble_k(m, t, 1)
-        assert op.matrix[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert op.dense()[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_rank_two_diagonal_drag(self):
         # hand evaluation at dimensionless frequency one:
         # (<<3>> - 2 <<1>>) / 3 = (0.1 - 1.0) / 3 = -0.3
         m, t = varpi_atom(1.0)
         op = stability.assemble_k(m, t, 2)
-        assert op.matrix[1, 1] == pytest.approx(-0.3, abs=1e-15)
+        assert op.dense()[1, 1] == pytest.approx(-0.3, abs=1e-15)
 
     def test_rank_four_off_diagonal(self):
         m, t = varpi_atom(1.0)
         op = stability.assemble_k(m, t, 4)
         kv = op.kernel
-        assert op.matrix[0, 1] == pytest.approx((kv[1] + kv[2]) / math.sqrt(3.0), rel=1e-15)
-        assert op.matrix[2, 3] == pytest.approx((kv[1] + kv[6]) / math.sqrt(35.0), rel=1e-15)
+        assert op.dense()[0, 1] == pytest.approx((kv[1] + kv[2]) / math.sqrt(3.0), rel=1e-15)
+        assert op.dense()[2, 3] == pytest.approx((kv[1] + kv[6]) / math.sqrt(35.0), rel=1e-15)
 
     def test_kernel_cache_is_all_that_enters(self):
         m, t = varpi_atom(0.7)
@@ -88,23 +89,23 @@ class TestAssembly:
             [(k[4] + k[3]) / s7, (k[5] + k[2]) / s21, (k[6] + k[1]) / s35,
              (k[7] - 2 * (k[3] + k[2] + k[1])) / 7],
         ])
-        assert op.matrix == pytest.approx(want, rel=1e-14, abs=1e-16)
+        assert op.dense() == pytest.approx(want, rel=1e-14, abs=1e-16)
 
     def test_exact_symmetry(self):
         m = measure.discrete([(0.5, 0.8), (0.5, 1.2)])
         op = stability.assemble_k(m, 0.17, 24)
-        assert np.array_equal(op.matrix, op.matrix.T)
+        assert np.array_equal(op.dense(), op.dense().T)
 
     def test_high_temperature_entries_vanish(self):
         m = measure.einstein(1.0)
         op = stability.assemble_k(m, 1e7, 4)
-        assert np.max(np.abs(op.matrix)) < 1e-12
+        assert np.max(np.abs(op.dense())) < 1e-12
 
     def test_immutable(self):
         m, t = varpi_atom(1.0)
         op = stability.assemble_k(m, t, 2)
         with pytest.raises(ValueError):
-            op.matrix[0, 0] = 7.0
+            op.dense()[0, 0] = 7.0
 
     def test_domain_errors(self):
         m = measure.einstein(1.0)
@@ -121,9 +122,9 @@ class TestNestedBlocks:
         atoms = (measure.einstein(1.0), two_atoms,
                  measure.discrete([(0.2, 0.5), (0.5, 1.0), (0.3, 2.0)]))
         for m in atoms + (triangle,):
-            big = stability.assemble_k(m, t, 64).matrix
+            big = stability.assemble_k(m, t, 64).dense()
             for n in (1, 2, 3, 4, 5, 16, 33, 63):
-                small = stability.assemble_k(m, t, n).matrix
+                small = stability.assemble_k(m, t, n).dense()
                 if m.kind == "tabulated":
                     # averages summed at another count agree to rounding
                     assert np.all(np.abs(big[:n, :n] - small) <= 4e-15 * np.abs(small)), n
@@ -236,7 +237,7 @@ SPLIT_MEASURES = {
     "triangle": measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)]),
     "gapped": GAPPED,
 }
-CROSSOVER = numerics._MATRIX_FREE_MIN_RANK
+CROSSOVER = stability._MATRIX_FREE_MIN_RANK
 # (family, T / omega_max or gamma, rank); rank 4096 on fewer cases, since
 # each assembles a 128 MiB reference matrix
 SPLIT_CASES = [(name, x, n) for n in (CROSSOVER, 1024)
@@ -260,7 +261,7 @@ def _split_kernels(family: str, x: float, n: int) -> tuple[np.ndarray, np.ndarra
 @pytest.fixture
 def lanczos_runs(monkeypatch):
     """For each Lanczos run from here on, the split truncation whose product
-    it iterated, or None for an assembled matrix."""
+    it iterated, or None for a plain function."""
     runs = []
     lanczos = numerics._lanczos_top
 
@@ -272,13 +273,27 @@ def lanczos_runs(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def assemblies(monkeypatch):
+    """The orders of the truncations assembled from here on."""
+    orders = []
+    truncation = stability.truncation
+
+    def recorded(kernel, n):
+        orders.append(n)
+        return truncation(kernel, n)
+
+    monkeypatch.setattr(stability, "truncation", recorded)
+    return orders
+
+
 class TestSplitTruncation:
     @pytest.mark.parametrize("family, x, n", SPLIT_CASES)
-    def test_matrix_free_route_matches_assembled(self, family, x, n, lanczos_runs):
+    def test_matrix_free_route_matches_assembled(self, family, x, n, lanczos_runs, assemblies):
         kernel, form_kernel = _split_kernels(family, x, n)
         split = stability.SplitTruncation(kernel, n)
         pair = numerics.sym_eig_top(split)
-        assert lanczos_runs == [split]  # certified without assembly
+        assert lanczos_runs == [split] and assemblies == []  # certified without assembly
         mat = split.dense()
         dense = numerics.sym_eig_top(mat)
         assert abs(pair.value - dense.value) <= 1e-13 * abs(dense.value)
@@ -297,20 +312,25 @@ class TestSplitTruncation:
         slope = stability.k_slope(m, t, bound.eigvec)
         assert len(lanczos_runs) == 1 and lanczos_runs[0] is not None
         monkeypatch.undo()
-        mat = stability.assemble_k(m, t, n).matrix
+        mat = stability.assemble_k(m, t, n).dense()
         assert bound.k_value == pytest.approx(numerics.sym_eig_top(mat).value, rel=1e-13)
         slopes = stability.truncation(m.kernel_slopes(t, 2 * n - 1), n)
         assert slope == pytest.approx(bound.eigvec @ slopes @ bound.eigvec / (t * t), rel=1e-12)
 
-    def test_below_crossover_is_assembled(self, lanczos_runs):
+    def test_below_crossover_product_is_the_assembled_matrix(self, lanczos_runs, assemblies):
+        # Lanczos iterates the split's own product, the matrix assembled
+        # once; the pair, product and quadratic form are the matrix's bits
         n = CROSSOVER - 1
         split = stability.SplitTruncation(gamma_model._gamma_kernel(2.0, n), n)
         pair = numerics.sym_eig_top(split)
-        assert lanczos_runs == [None]
-        dense = numerics.sym_eig_top(gamma_model.assemble_gamma(2.0, n))
-        assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
+        assert lanczos_runs == [split] and assemblies == [n]
+        mat = split.dense()
+        assert assemblies == [n] and not mat.flags.writeable
+        ritz = numerics._certified_ritz(lambda x: mat @ x, n, numerics.DEFAULT_TOL.eig_residual)
+        assert pair.value == ritz.value and np.array_equal(pair.vector, ritz.vector)
         vector = pair.vector
-        assert split.quadratic_form(vector) == float(vector @ split.dense() @ vector)
+        assert np.array_equal(split.matvec(vector), mat @ vector)
+        assert split.quadratic_form(vector) == float(vector @ (mat @ vector))
 
     @pytest.mark.parametrize("fault", ["zero entry", "negative entry", "tiny scale", "huge scale"])
     def test_ineligible_kernel_is_assembled(self, fault, lanczos_runs):
@@ -323,26 +343,24 @@ class TestSplitTruncation:
             kernel *= 2.0 ** (-1000 if fault == "tiny scale" else 310)
         split = stability.SplitTruncation(kernel, CROSSOVER)
         pair = numerics.sym_eig_top(split)
-        assert split not in lanczos_runs
+        assert lanczos_runs == []
         dense = numerics.sym_eig_top(split.dense())
         assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
 
-    def test_out_of_gate_temperature_is_assembled(self, lanczos_runs, monkeypatch):
+    def test_out_of_gate_temperature_is_assembled(self, lanczos_runs):
         # at omega/T = 1e-100 every kernel average is below 1e-200
         m = SPLIT_MEASURES["einstein"]
         bound = stability.k_numeric(m, 1e100, CROSSOVER, banded=False)
         assert lanczos_runs == []
         mat = stability.truncation(m.kernel_values(1e100, 2 * CROSSOVER - 1), CROSSOVER)
-        monkeypatch.setattr(numerics, "_KRYLOV_MIN_RANK", numerics.MAX_RANK + 1)
         assert bound.k_value == numerics.sym_eig_top(mat).value
 
-    def test_exhausted_budget_is_assembled(self, lanczos_runs, monkeypatch):
+    def test_exhausted_budget_is_assembled(self, lanczos_runs, assemblies, monkeypatch):
         kernel, _ = _split_kernels("two-atoms", 0.1, CROSSOVER)
         split = stability.SplitTruncation(kernel, CROSSOVER)
         monkeypatch.setattr(numerics, "_KRYLOV_MAX_STEPS", 1)
         pair = numerics.sym_eig_top(split)
-        assert lanczos_runs == [split, None]  # then the dense eigh
-        monkeypatch.setattr(numerics, "_KRYLOV_MIN_RANK", numerics.MAX_RANK + 1)
+        assert lanczos_runs == [split] and assemblies == [CROSSOVER]  # then the dense eigh
         dense = numerics.sym_eig_top(split.dense())
         assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
 
@@ -406,6 +424,15 @@ class TestZeroTemperatureLimit:
         assert stability.k_limit_T0(2).lambda_floor == pytest.approx(3.0 / 5.0, rel=1e-15)
         assert stability.k_limit_T0(4).k0 == pytest.approx(247.0 / 105.0, rel=1e-15)
 
+    @pytest.mark.parametrize("n", list(range(1, 65)) + [1024])
+    def test_equals_the_fraction_sum(self, n):
+        # the binary-split ratio is the exact sum, and both floats are the
+        # exact value rounded once
+        k0 = Fraction(-1) + 2 * sum(Fraction(1, 2 * k + 1) for k in range(n))
+        assert Fraction(*stability._odd_reciprocal_sum(0, n)) == (k0 + 1) / 2
+        limit = stability.k_limit_T0(n)
+        assert limit.k0 == float(k0) and limit.lambda_floor == float(1 / k0)
+
     def test_floor_decreases_with_rank(self):
         floors = [stability.k_limit_T0(n).lambda_floor for n in range(1, 20)]
         assert all(b < a for a, b in zip(floors, floors[1:]))
@@ -434,7 +461,7 @@ class TestZeroTemperatureLimit:
         m = measure.einstein(1.0)
         op = stability.assemble_k(m, 1e-10, 3)
         u = 1.0 / np.sqrt(2.0 * np.arange(3) + 1.0)
-        assert op.matrix == pytest.approx(-np.eye(3) + 2.0 * np.outer(u, u), abs=1e-14)
+        assert op.dense() == pytest.approx(-np.eye(3) + 2.0 * np.outer(u, u), abs=1e-14)
 
 
 class TestHighTemperature:
