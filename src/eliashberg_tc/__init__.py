@@ -26,7 +26,6 @@ from .stability import (
     k_closed_form,
     k_limit_T0,
     k_numeric,
-    lambda2_closed,
 )
 from .gamma_model import assemble_gamma, dirichlet_coefficients, expected_gamma, g_top
 from .bounds import (
@@ -65,7 +64,6 @@ __all__ = [
     "k_numeric",
     "k_sharp",
     "k_star",
-    "lambda2_closed",
     "lambda_star_bounds",
     "load",
     "t_star",

@@ -291,8 +291,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ArithmeticError as exc:  # NumericalError, or a float overflow in a printed value
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except (ArithmeticError, MemoryError) as exc:  # NumericalError, a float overflow in a
+        # printed value, or an allocation the machine cannot make
+        print(f"numerical error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

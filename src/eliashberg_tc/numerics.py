@@ -1,15 +1,15 @@
 """Shared numerical kernels and the input domain.
 
-Symmetric top-eigenpair extraction (dense ``eigh``, or Lanczos on the
-product of a large split truncation with a positive kernel), positive-cone
-power iteration, Riemann zeta evaluation, and the bracketed Newton
-iteration that solves for critical temperatures.  Adaptive quadrature and
-monotone bisection remain as stand-alone routines that the package itself
-no longer calls.  All routines are pure functions of their arguments and
-safe to call concurrently.  Accuracy contracts (not algorithms) are the
-interface; the defaults live in one configuration record so every
-tolerance used anywhere in the package is visible in a single place, and so
-is the input domain.
+Symmetric top-eigenpair extraction (dense ``eigh``, or on a split
+truncation with a positive kernel Lanczos or warm-started Rayleigh-quotient
+iteration), positive-cone power iteration, Riemann zeta evaluation, and the
+bracketed Newton iteration that solves for critical temperatures.  Adaptive
+quadrature and monotone bisection remain as stand-alone routines that the
+package itself no longer calls.  All routines are pure functions of their
+arguments and safe to call concurrently.  Accuracy contracts (not
+algorithms) are the interface; the defaults live in one configuration
+record so every tolerance used anywhere in the package is visible in a
+single place, and so is the input domain.
 """
 
 from __future__ import annotations
@@ -173,45 +173,60 @@ def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray],
     return None
 
 
-def _certified_ritz(matvec: Callable[[np.ndarray], np.ndarray], n: int,
-                    residual_tol: float) -> Optional[EigenPair]:
-    """The Lanczos pair of :func:`_lanczos_top`, unit and sign-normalized,
+def _certified(matvec: Callable[[np.ndarray], np.ndarray], value: float, vector: np.ndarray,
+               residual_tol: float) -> Optional[EigenPair]:
+    """The pair (``value``, ``vector``), unit and signed by its first entry,
     if it meets the residual contract of :func:`sym_eig_top` (computed with
-    ``matvec``) and its vector is strictly positive; None otherwise."""
-    ritz = _lanczos_top(matvec, n)
-    if ritz is None:
-        return None
-    value, vector = ritz
-    vector = _sign_normalize(vector)
-    vector /= np.linalg.norm(vector)
-    residual = float(np.linalg.norm(matvec(vector) - value * vector))
-    if residual <= residual_tol * (1.0 + abs(value)) and np.all(vector > 0.0):
+    ``matvec``) and its vector is strictly positive, which on a matrix with
+    positive off-diagonal entries only the top (Perron) pair can; else None."""
+    vector = vector / math.copysign(math.sqrt(vector @ vector), vector[0])
+    residual = matvec(vector) - value * vector
+    if residual @ residual <= (residual_tol * (1.0 + abs(value))) ** 2 and (vector > 0.0).all():
         return EigenPair(value=value, vector=vector)
     return None
 
 
-def _residual(m: np.ndarray, value: float, vector: np.ndarray) -> float:
-    return float(np.linalg.norm(m @ vector - value * vector))
+def _rqi_top(m: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
+    """Rayleigh-quotient iteration on ``m`` from ``start`` (Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 4), cubically convergent: at
+    most 4 solves, stopping once the residual is at rounding level, 4 eps
+    |value|.  :func:`_certified` judges which pair it reached."""
+    x, eye = start / math.sqrt(start @ start), np.eye(len(m))
+    value = float(x @ (m @ x))
+    for _ in range(4):  # a start from another temperature or rank is not converged
+        try:
+            x = np.linalg.solve(m - value * eye, x)
+        except np.linalg.LinAlgError:  # value is an eigenvalue in floats
+            break
+        x /= math.sqrt(x @ x)
+        product = m @ x
+        value = float(x @ product)
+        residual = product - value * x
+        if residual @ residual <= (4.0 * _EPS * value) ** 2:
+            break
+    return value, x
 
 
-def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual) -> EigenPair:
+def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual,
+                start: Optional[np.ndarray] = None) -> EigenPair:
     """Algebraically largest eigenvalue of a real symmetric matrix, given
-    dense or as a split truncation; two routes give the same pair to
+    dense or as a split truncation; the three routes give the same pair to
     rounding.
 
     A split truncation (:class:`eliashberg_tc.stability.SplitTruncation`)
     holds the rank-N operator as its kernel: ``len()`` is N, ``kernel`` its
     2N kernel numbers, ``matvec(x)`` applies it (by the matrix or by FFT, as
-    the split picks) and ``dense()`` assembles it.  From rank
-    ``_KRYLOV_MIN_RANK`` on, a split truncation whose kernel passes
-    :func:`_kernel_eligible` has positive off-diagonal entries, so it is
-    irreducible and Metzler and its top eigenvector is a positive Perron
-    vector, which the positive Lanczos start vector cannot be orthogonal
-    to.  It goes once to Lanczos on ``matvec`` (:func:`_lanczos_top`, 10-15
-    products).  The Lanczos pair is kept only if it meets the residual
-    contract below and its vector is strictly positive.  Otherwise, and for
-    every other split truncation, ``dense()`` takes the second route, and a
-    dense ndarray always does: a validated dense ``eigh``, O(N^3).
+    the split picks) and ``dense()`` assembles it.  A split truncation whose
+    kernel passes :func:`_kernel_eligible` has positive off-diagonal
+    entries, so it is irreducible and Metzler and its top eigenvector is the
+    only positive one, a Perron vector.  From rank ``_KRYLOV_MIN_RANK`` on
+    it goes to Lanczos on ``matvec`` (:func:`_lanczos_top`, 10-15 products)
+    from a positive vector; below that rank, given a ``start`` vector, to
+    Rayleigh-quotient iteration on ``dense()`` (:func:`_rqi_top`, 1-3
+    solves).  The pair is kept only if :func:`_certified`: it meets the
+    residual contract below and its vector is strictly positive.
+    Otherwise, and for every other split truncation, ``dense()`` takes the
+    last route, and a dense ndarray always does: a validated dense ``eigh``.
 
     Parameters
     ----------
@@ -221,6 +236,8 @@ def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual) -> Eigen
         per triangle.
     residual_tol : float
         The result must satisfy ``||M v - lam v|| <= residual_tol * (1 + |lam|)``.
+    start : (N,) ndarray, optional
+        An approximate top eigenvector, for a split truncation below rank 72.
 
     Returns
     -------
@@ -228,8 +245,11 @@ def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual) -> Eigen
         Deterministic for fixed input.
     """
     if hasattr(matrix, "matvec"):
-        if len(matrix) >= _KRYLOV_MIN_RANK and _kernel_eligible(matrix.kernel):
-            pair = _certified_ritz(matrix.matvec, len(matrix), residual_tol)
+        n = len(matrix)
+        if (n >= _KRYLOV_MIN_RANK or start is not None) and _kernel_eligible(matrix.kernel):
+            candidate = (_lanczos_top(matrix.matvec, n) if n >= _KRYLOV_MIN_RANK
+                         else _rqi_top(matrix.dense(), start))
+            pair = candidate and _certified(matrix.matvec, *candidate, residual_tol)
             if pair is not None:
                 return pair
         matrix = matrix.dense()
@@ -244,7 +264,7 @@ def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual) -> Eigen
     value = float(eigvals[-1])
     vector = _sign_normalize(eigvecs[:, -1].copy())
     vector /= np.linalg.norm(vector)
-    residual = _residual(m, value, vector)
+    residual = float(np.linalg.norm(m @ vector - value * vector))
     if residual > residual_tol * (1.0 + abs(value)):
         raise NumericalError(
             f"eigenpair residual {residual:.3e} exceeds contract "
@@ -390,16 +410,20 @@ def newton_bracketed(
     step turns back by more than half the step before it, which stops
     oscillation (after Brent, Algorithms for Minimization without
     Derivatives, 1973).  While no positive value has been seen the
-    bisection step quadruples x; while no negative one has, it quarters b.
-    Each trial point is evaluated once.  The iteration stops at the first
-    step no longer than ``tol`` times its end point and returns that end
-    point: after a Newton step the error is of the order of the step squared.
+    bisection step multiplies x by a factor, while no negative one has it
+    divides b by it, and consecutive such steps square the factor (4, 16,
+    256, ...: Bentley and Yao, Inf. Proc. Letters 5, 1976), up to the end of
+    the positive finite floats.  Each trial point is evaluated once.  The
+    iteration stops at the first step no longer than ``tol`` times its end
+    point and returns that end point: after a Newton step the error is of
+    the order of the step squared.
     """
     if not 0.0 < x0 < math.inf:
         raise ValidationError(f"start must be finite and positive, got {x0!r}")
     a, b = 0.0, math.inf
     x = x0
     last = 0.0  # the previous step, signed
+    factor = 4.0
     for _ in range(_NEWTON_MAX_EVALS):
         value, slope = f(x)
         if value == 0.0:
@@ -411,18 +435,22 @@ def newton_bracketed(
         new = x - value / slope if slope > 0.0 else math.nan
         if not a < new < b or (new - x) * last < 0.0 and abs(new - x) > 0.5 * abs(last):
             if b == math.inf:
-                new = 4.0 * a
+                new, factor = a * factor, factor * factor
             elif a == 0.0:
-                new = 0.25 * b
+                new, factor = b / factor, factor * factor
             else:
                 new = 0.5 * (a + b)
+        else:
+            factor = 4.0
+        if not 0.0 < new < math.inf:
+            break
         if abs(new - x) <= tol * new:
             return new
         last = new - x
         x = new
     raise NumericalError(
-        f"no root to relative step {tol:.1e} in {_NEWTON_MAX_EVALS} evaluations: "
-        f"bracket [{a!r}, {b!r}]"
+        f"no root to relative step {tol:.1e} in {_NEWTON_MAX_EVALS} evaluations "
+        f"within the positive finite floats: bracket [{a!r}, {b!r}]"
     )
 
 

@@ -168,8 +168,21 @@ class SplitTruncation:
         return inv_sqrt * exchange[:self.n] - drag * x
 
     def quadratic_form(self, v: np.ndarray) -> float:
-        """``v^T K v``, as ``v`` times the product :meth:`matvec`."""
-        return float(v @ self.matvec(v))
+        """``v^T K v``: from rank ``_MATRIX_FREE_MIN_RANK`` on ``v`` times
+        :meth:`matvec`; below it sum_k kernel[k] w_k with no matrix, where for
+        x = D v the weights are x's autocorrelation (``T``, twice for lags
+        k > 0), its self-convolution shifted by one (``H``), and minus twice
+        its suffix sums of squares sum_{n>=k} x_n^2 (drag)."""
+        n = self.n
+        if n >= _MATRIX_FREE_MIN_RANK:
+            return float(v @ self.matvec(v))
+        x = v / np.sqrt(2.0 * np.arange(n) + 1.0)
+        weights = np.zeros(2 * n)
+        weights[1:] = np.convolve(x, x)
+        weights[:n] += 2.0 * np.correlate(x, x, "full")[n - 1:]
+        weights[0] *= 0.5
+        weights[1:n] -= 2.0 * np.cumsum((x * x)[::-1])[-2::-1]
+        return float(self.kernel[:2 * n] @ weights)
 
 
 def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> SplitTruncation:
@@ -185,11 +198,12 @@ def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> 
     return SplitTruncation(m.kernel_values(t, 2 * n - 1), n)
 
 
-def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> KBound:
+def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True,
+              start: Optional[np.ndarray] = None) -> KBound:
     """Top eigenvalue of the rank-N truncation by :func:`sym_eig_top` on the
     :class:`SplitTruncation` of :func:`assemble_k`: Lanczos on its own
-    product from rank 72 on, dense ``eigh`` below that rank or when the
-    Lanczos pair fails its certificate.
+    product from rank 72 on, Rayleigh-quotient iteration from ``start`` if
+    given below it, dense ``eigh`` otherwise or if a pair fails its certificate.
 
     The eigenvector is componentwise positive after sign normalization.
     ``banded=False`` accepts any finite positive temperature, as the trial
@@ -197,14 +211,14 @@ def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> K
     average underflows to zero; the top eigenvalue, positive in exact
     arithmetic, then comes out zero and a :class:`NumericalError` is raised.
     """
-    return eigensolver_bound(assemble_k(m, t, n, banded=banded), t)
+    return eigensolver_bound(assemble_k(m, t, n, banded=banded), t, start)
 
 
-def eigensolver_bound(mat, t: float) -> KBound:
+def eigensolver_bound(mat, t: float, start: Optional[np.ndarray] = None) -> KBound:
     """:class:`KBound` of a truncation, dense or split, at temperature ``t``
-    (named in the error) from :func:`sym_eig_top`, with its positive top
-    eigenvector."""
-    pair = sym_eig_top(mat)
+    (named in the error) from :func:`sym_eig_top` (from ``start``, if
+    given), with its positive top eigenvector."""
+    pair = sym_eig_top(mat, start=start)
     if not 0.0 < pair.value < math.inf:
         raise NumericalError(f"rank-{len(mat)} top eigenvalue {pair.value!r} at temperature "
                              f"{t:.6g} is not finite and positive; no coupling bound follows")
@@ -224,7 +238,7 @@ def k_slope(m: SpectralMeasure, t: float, vector: np.ndarray) -> float:
     linear in the kernel, so by Hellmann-Feynman the slope is
     v^T truncation(d kernel/d(T^2)) v, one quadratic form
     (:meth:`SplitTruncation.quadratic_form`) on the kernel slopes of
-    :meth:`SpectralMeasure.kernel_slopes`.
+    :meth:`SpectralMeasure.kernel_slopes`; no second N x N matrix is formed.
     """
     check_scalar("temperature", t, banded=False)
     if t * t < sys.float_info.min:
@@ -388,19 +402,6 @@ def k_closed_form(m: SpectralMeasure, t: float, n: int) -> KBound:
     """
     check_rank("closed-form rank", n, 1, 4)
     return closed_form_bound(assemble_k(m, t, n).dense())
-
-
-def lambda2_closed(m: SpectralMeasure, t: float) -> float:
-    """Rank-two coupling bound 1/k_2 in its explicit average form
-
-        6 / ( <<1>+<3>> + sqrt( <<1>+<3>>^2 + 12 (<<1>+<2>>^2 + <<1>>(2<<1>>-<<3>>)) ) ).
-    """
-    check_scalar("temperature", t)
-    kv = m.kernel_values(t, 3)
-    s13 = kv[1] + kv[3]
-    s12 = kv[1] + kv[2]
-    radical = s13 * s13 + 12.0 * (s12 * s12 + kv[1] * (2.0 * kv[1] - kv[3]))
-    return 6.0 / (s13 + math.sqrt(radical))
 
 
 # -- fixed-point operator -----------------------------------------------------

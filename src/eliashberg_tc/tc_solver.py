@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from . import bounds, stability
 from .bounds import t_star
 from .measure import SpectralMeasure
@@ -51,7 +53,8 @@ class TcReport:
     tolerance: Optional[float]  # None for a report of single ranks
 
 
-def tc_n(m: SpectralMeasure, lam: float, n: int, *, _start: Optional[float] = None) -> LadderEntry:
+def tc_n(m: SpectralMeasure, lam: float, n: int, *, _start: Optional[float] = None,
+         _vector: Optional[list] = None) -> LadderEntry:
     """Rank-N lower bound on the critical temperature at coupling ``lam``.
 
     Solves 1/k_N(P, T) = lam for u = T^2 by Newton steps on the
@@ -59,6 +62,8 @@ def tc_n(m: SpectralMeasure, lam: float, n: int, *, _start: Optional[float] = No
     (:func:`eliashberg_tc.numerics.newton_bracketed`).  The iteration starts
     at Tc_flat, or at Tc_sharp / 2 where Tc_flat is undefined;
     :func:`tc_converged` starts each rank at the rank below it instead.
+    Each eigensolve starts from the eigenvector of the one before, the
+    first from ``_vector[0]`` (a one-item list, left holding the last).
     Status is ``proven`` when rank <= 2 or the solution lies at or above the
     monotonicity threshold, ``heuristic`` for higher ranks below it, and
     ``undefined`` when the coupling does not exceed the zero-temperature
@@ -80,10 +85,13 @@ def tc_n(m: SpectralMeasure, lam: float, n: int, *, _start: Optional[float] = No
         flat = bounds.tc_flat(m, lam)
         _start = flat if flat is not None else 0.5 * bounds.tc_sharp(m, lam)
 
+    held = [None] if _vector is None else _vector
+
     def residual(u: float) -> tuple[float, float]:
         """1/k_N - lam at T^2 = u, and its slope in u."""
         t = math.sqrt(u)
-        bound = stability.k_numeric(m, t, n, banded=False)
+        bound = stability.k_numeric(m, t, n, banded=False, start=held[0])
+        held[0] = bound.eigvec
         slope = stability.k_slope(m, t, bound.eigvec)
         return bound.lambda_upper - lam, -slope * bound.lambda_upper ** 2
 
@@ -105,23 +113,27 @@ def tc_converged(
     """Rank-doubling ladder until successive bounds agree to ``tol``.
 
     Starts at rank four and doubles up to ``n_cap``, each rank's solve
-    starting at the value of the rank below; the report carries the full
-    ladder, the global bounds, and the converged value (absent if the rank
-    cap is reached first).  The converged value is a lower bound on the
-    true critical temperature like every ladder entry.  The ladder
-    converges like N^-4, each doubling cutting the step about 16-fold, so
-    weak couplings at tight tolerances need the high ranks: einstein(1) at
-    coupling 0.45 and ``tol=1e-10`` converges at rank 4096.  Ranks from 257
-    on, where :class:`stability.SplitTruncation` applies its FFT product,
-    are solved without forming their matrices, in O(N) memory.
+    starting at the value and the eigenvector (padded with zeros) of the
+    rank below; the report carries the full ladder, the global bounds, and
+    the converged value (absent if the rank cap is reached first).  The
+    converged value is a lower bound on the true critical temperature like
+    every ladder entry.  The ladder converges like N^-4, each doubling
+    cutting the step about 16-fold, so weak couplings at tight tolerances
+    need the high ranks: einstein(1) at coupling 0.45 and ``tol=1e-10``
+    converges at rank 4096.  Ranks from 257 on, where
+    :class:`stability.SplitTruncation` applies its FFT product, are solved
+    without forming their matrices, in O(N) memory.
     """
     check_scalar("tolerance", tol)
     check_rank("rank cap", n_cap)
     ladder: list[LadderEntry] = []
+    vector: list = [None]
     n = 4
     while n <= n_cap:
         previous = ladder[-1].value if ladder else None
-        entry = tc_n(m, lam, n, _start=previous)
+        if vector[0] is not None:
+            vector[0] = np.pad(vector[0], (0, n - len(vector[0])))
+        entry = tc_n(m, lam, n, _start=previous, _vector=vector)
         ladder.append(entry)
         if None not in (previous, entry.value) and abs(entry.value - previous) <= tol * entry.value:
             return tc_report(m, lam, ladder, entry.value, entry.n, tol)

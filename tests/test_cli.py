@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eliashberg_tc import cli, gamma_model, stability, tc_solver
+from eliashberg_tc import cli, gamma_model, measure, stability, tc_solver
 
 NAN, INF = float("nan"), float("inf")
 
@@ -94,6 +94,14 @@ class TestBoundsCommand:
 
     def test_missing_file_exit_four(self, capsys):
         assert cli.main(["bounds", "/no/such/file.json", "--temperature", "0.2"]) == 4
+
+    def test_memory_error_exit_three(self, einstein_file, capsys, monkeypatch):
+        def exhausted(self, t, count):
+            raise MemoryError
+
+        monkeypatch.setattr(measure.SpectralMeasure, "kernel_values", exhausted)
+        assert cli.main(["bounds", einstein_file, "--temperature", "0.2"]) == 3
+        assert capsys.readouterr().err == "numerical error: out of memory\n"
 
 
 class TestTcCommand:

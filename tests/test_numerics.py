@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eliashberg_tc import gamma_model, measure, numerics, stability
+from eliashberg_tc import bounds, gamma_model, measure, numerics, stability, tc_solver
 from eliashberg_tc.errors import BracketError, NumericalError, ValidationError
 from eliashberg_tc.numerics import (
     bisect_monotone,
@@ -189,28 +189,23 @@ class TestKrylovRoute:
         dense = sym_eig_top(split.dense())
         assert pair.value == dense.value and np.array_equal(pair.vector, dense.vector)
 
-    def test_sign_fault_fails_the_positivity_certificate(self, monkeypatch):
+    def test_sign_fault_fails_the_positivity_certificate(self):
         # a last row and column coupled by 1e-12 give the Perron vector a
         # last component near 1e-16: with its sign flipped the pair still
         # meets the residual contract but is not positive
         base = gamma_model.assemble_gamma(2.0, 128)
         tol = numerics.DEFAULT_TOL.eig_residual
-        certified = numerics._certified_ritz(lambda x: base @ x, 128, tol)
+        ritz = numerics._lanczos_top(base.__matmul__, 128)
+        certified = numerics._certified(base.__matmul__, *ritz, tol)
         assert certified is not None and np.all(certified.vector > 0.0)
         mat = base.copy()
         mat[-1] *= 1e-12
         mat[:, -1] *= 1e-12
         mat[-1, -1] = -100.0
-        lanczos = numerics._lanczos_top
-
-        def faulty(matvec, n):
-            value, vector = lanczos(matvec, n)
-            vector[-1] = -math.copysign(vector[-1], vector[0])
-            assert np.linalg.norm(matvec(vector) - value * vector) <= tol * (1.0 + abs(value))
-            return value, vector
-
-        monkeypatch.setattr(numerics, "_lanczos_top", faulty)
-        assert numerics._certified_ritz(lambda x: mat @ x, 128, tol) is None
+        value, vector = numerics._lanczos_top(mat.__matmul__, 128)
+        vector[-1] = -math.copysign(vector[-1], vector[0])
+        assert np.linalg.norm(mat @ vector - value * vector) <= tol * (1.0 + abs(value))
+        assert numerics._certified(mat.__matmul__, value, vector, tol) is None
 
     def test_tiny_entries_take_dense_route(self, eigh_sizes, lanczos_calls):
         # at omega/T = 1e-100 every entry is below 1e-200, where squared
@@ -224,6 +219,58 @@ class TestKrylovRoute:
         n = numerics._KRYLOV_MIN_RANK - 1
         sym_eig_top(_operator("gamma", 2.0, n))
         assert eigh_sizes == [n] and lanczos_calls == [0]
+
+
+# (family, T / omega_max or gamma, rank) below the Lanczos crossover
+WARM_CASES = [(name, x, n) for n in (8, 16, 32, 64)
+              for name in KRYLOV_MEASURES for x in (0.005, 0.02, 0.1, 1.0)]
+WARM_CASES += [("gamma", x, n) for n in (8, 16, 32, 64) for x in (0.5, 1.0, 2.0, 4.0)]
+
+
+class TestWarmRoute:
+    @pytest.mark.parametrize("family, x, n", WARM_CASES)
+    @pytest.mark.parametrize("neighbour", ["temperature", "rank"])
+    def test_matches_cold_eigh(self, family, x, n, neighbour, eigh_sizes):
+        # started from the eigenvector at 1.01 times the temperature (or
+        # exponent), or from the rank-N/2 one padded with zeros
+        near = _operator(family, 1.01 * x, n) if neighbour == "temperature" else _operator(
+            family, x, n // 2)
+        start = np.pad(sym_eig_top(near).vector, (0, n - len(near)))
+        split = _operator(family, x, n)
+        eigh_sizes.clear()
+        pair = sym_eig_top(split, start=start)
+        assert eigh_sizes == []  # certified without a dense eigh
+        values, vectors = np.linalg.eigh(split.dense())
+        assert abs(pair.value - values[-1]) <= 1e-13 * abs(values[-1])
+        assert np.max(np.abs(pair.vector - vectors[:, -1] * np.sign(vectors[0, -1]))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_second_eigenvector_start_falls_back_to_eigh(self, n, eigh_sizes):
+        # Rayleigh-quotient iteration stays at the second pair, whose vector
+        # changes sign, so the positivity certificate sends it to eigh
+        split = _operator("two-atoms", 0.02, n)
+        second = np.linalg.eigh(split.dense())[1][:, -2]
+        eigh_sizes.clear()
+        pair = sym_eig_top(split, start=second)
+        assert eigh_sizes == [n]
+        cold = sym_eig_top(split)
+        assert pair.value == cold.value and np.array_equal(pair.vector, cold.vector)
+
+    def test_start_is_ignored_from_the_krylov_crossover(self, lanczos_calls):
+        n = numerics._KRYLOV_MIN_RANK
+        split = _operator("gamma", 2.0, n)
+        pair = sym_eig_top(split, start=np.linalg.eigh(split.dense())[1][:, -2])
+        cold = sym_eig_top(split)
+        assert lanczos_calls == [2]
+        assert pair.value == cold.value and np.array_equal(pair.vector, cold.vector)
+
+    def test_converged_ladder_runs_eigh_at_its_first_evaluation_only(self, eigh_sizes):
+        m = measure.discrete([(0.3, 0.5), (0.4, 1.0), (0.3, 2.0)])
+        gamma_model.g_top(2.0, bounds.GAMMA_LIMIT_RANK)  # Tc_tilde's memo, by Lanczos
+        eigh_sizes.clear()
+        report = tc_solver.tc_converged(m, 30.0)
+        assert [entry.n for entry in report.ladder] == [4, 8, 16, 32, 64]
+        assert eigh_sizes == [4]
 
 
 class TestPowerIteration:
@@ -341,6 +388,16 @@ class TestNewtonBracketed:
     def test_no_sign_change(self):
         with pytest.raises(NumericalError, match="in 100 evaluations"):
             newton_bracketed(lambda x: (-1.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gallops_to_the_end_of_the_floats(self, sign):
+        # the factor squares at each expansion, so x leaves the positive
+        # finite floats, and the solve stops, after about ten evaluations
+        # (a hundred at a fixed factor of four)
+        f = _recorded(lambda x: (sign, 0.0))
+        with pytest.raises(NumericalError, match="positive finite floats"):
+            newton_bracketed(f, 1.0)
+        assert len(f.points) <= 12
 
     @pytest.mark.parametrize("x0", [0.0, -1.0, math.inf, math.nan])
     def test_start_not_positive(self, x0):

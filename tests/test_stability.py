@@ -287,6 +287,17 @@ def assemblies(monkeypatch):
     return orders
 
 
+def _sin_angle_bound(mat: np.ndarray, value: float, vector: np.ndarray,
+                     values: np.ndarray) -> float:
+    """Davis-Kahan bound on the sine of the angle between the unit ``vector``
+    and the top eigenvector of ``mat``, whose eigenvalues ``values`` are
+    ascending: with r = mat v - value v expanded in eigenvectors,
+    ||r||^2 >= min_j<top |lambda_j - value|^2 sin^2, so
+    sin <= ||r|| / (value - values[-2]) when value lies above values[-2]."""
+    assert value > values[-2]
+    return float(np.linalg.norm(mat @ vector - value * vector)) / (value - values[-2])
+
+
 class TestSplitTruncation:
     @pytest.mark.parametrize("family, x, n", SPLIT_CASES)
     def test_matrix_free_route_matches_assembled(self, family, x, n, lanczos_runs, assemblies):
@@ -295,15 +306,42 @@ class TestSplitTruncation:
         pair = numerics.sym_eig_top(split)
         assert lanczos_runs == [split] and assemblies == []  # certified without assembly
         mat = split.dense()
-        dense = numerics.sym_eig_top(mat)
-        assert abs(pair.value - dense.value) <= 1e-13 * abs(dense.value)
-        assert np.max(np.abs(pair.vector - dense.vector)) <= 1e-10
+        values = np.linalg.eigvalsh(mat)
+        assert abs(pair.value - values[-1]) <= 1e-13 * abs(values[-1])
+        # for unit vectors on the same side, |v - u| <= sqrt(2) sin(angle)
+        assert math.sqrt(2.0) * _sin_angle_bound(mat, pair.value, pair.vector, values) <= 1e-10
+        if n <= 1024:  # the vector of a dense eigh as well, where it is cheap
+            dense = numerics.sym_eig_top(mat)
+            assert np.max(np.abs(pair.vector - dense.vector)) <= 1e-10
         product = split.matvec(pair.vector)
-        assert np.max(np.abs(product - mat @ pair.vector)) <= 1e-13 * abs(dense.value)
+        assert np.max(np.abs(product - mat @ pair.vector)) <= 1e-13 * abs(values[-1])
         del mat
         got = stability.SplitTruncation(form_kernel, n).quadratic_form(pair.vector)
         want = float(pair.vector @ stability.truncation(form_kernel, n) @ pair.vector)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_sin_angle_bound_sees_a_perturbed_vector(self):
+        # a Lanczos vector moved by 1e-9 in one entry fails the assertion
+        # above; the vector itself passes it
+        kernel, _ = _split_kernels("two-atoms", 0.02, CROSSOVER)
+        split = stability.SplitTruncation(kernel, CROSSOVER)
+        pair = numerics.sym_eig_top(split)
+        mat = split.dense()
+        values = np.linalg.eigvalsh(mat)
+        assert math.sqrt(2.0) * _sin_angle_bound(mat, pair.value, pair.vector, values) <= 1e-10
+        moved = pair.vector.copy()
+        moved[CROSSOVER // 2] += 1e-9
+        moved /= np.linalg.norm(moved)
+        assert math.sqrt(2.0) * _sin_angle_bound(mat, pair.value, moved, values) > 1e-10
+
+    @pytest.mark.parametrize("family, x", sorted({(family, x) for family, x, _ in SPLIT_CASES}))
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, CROSSOVER - 1])
+    def test_quadratic_form_below_crossover_matches_matrix(self, family, x, n):
+        kernel, form_kernel = _split_kernels(family, x, n)
+        vector = numerics.sym_eig_top(stability.SplitTruncation(kernel, n)).vector
+        got = stability.SplitTruncation(form_kernel, n).quadratic_form(vector)
+        want = float(vector @ stability.truncation(form_kernel, n) @ vector)
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_k_numeric_and_slope_stay_matrix_free(self, lanczos_runs, monkeypatch):
         m, t, n = SPLIT_MEASURES["two-atoms"], 0.02, 1024
@@ -319,18 +357,21 @@ class TestSplitTruncation:
 
     def test_below_crossover_product_is_the_assembled_matrix(self, lanczos_runs, assemblies):
         # Lanczos iterates the split's own product, the matrix assembled
-        # once; the pair, product and quadratic form are the matrix's bits
+        # once; the pair and product are the matrix's bits, and the quadratic
+        # form, taken from the kernel without the matrix, agrees to rounding
         n = CROSSOVER - 1
         split = stability.SplitTruncation(gamma_model._gamma_kernel(2.0, n), n)
         pair = numerics.sym_eig_top(split)
         assert lanczos_runs == [split] and assemblies == [n]
         mat = split.dense()
         assert assemblies == [n] and not mat.flags.writeable
-        ritz = numerics._certified_ritz(lambda x: mat @ x, n, numerics.DEFAULT_TOL.eig_residual)
+        ritz = numerics._certified(mat.__matmul__, *numerics._lanczos_top(mat.__matmul__, n),
+                                   numerics.DEFAULT_TOL.eig_residual)
         assert pair.value == ritz.value and np.array_equal(pair.vector, ritz.vector)
         vector = pair.vector
         assert np.array_equal(split.matvec(vector), mat @ vector)
-        assert split.quadratic_form(vector) == float(vector @ (mat @ vector))
+        want = float(vector @ (mat @ vector))
+        assert abs(split.quadratic_form(vector) - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("fault", ["zero entry", "negative entry", "tiny scale", "huge scale"])
     def test_ineligible_kernel_is_assembled(self, fault, lanczos_runs):
@@ -487,20 +528,30 @@ class TestHighTemperature:
             assert residual == pytest.approx(want, rel=0.05)
 
 
+def _lambda2_explicit(m: measure.SpectralMeasure, t: float) -> float:
+    """Rank-two coupling bound 1/k_2 in its explicit average form
+    6 / ( <<1>+<3>> + sqrt( <<1>+<3>>^2 + 12 (<<1>+<2>>^2 + <<1>>(2<<1>>-<<3>>)) ) )."""
+    kv = m.kernel_values(t, 3)
+    s13, s12 = kv[1] + kv[3], kv[1] + kv[2]
+    return 6.0 / (s13 + math.sqrt(s13 * s13 + 12.0 * (s12 * s12 + kv[1] * (2.0 * kv[1] - kv[3]))))
+
+
 class TestRankTwoClosedCoupling:
     def test_matches_reciprocal(self, two_atoms):
         for m in (measure.einstein(1.0), two_atoms):
             for t in (0.1, 0.5, 2.0):
-                want = 1.0 / stability.k_closed_form(m, t, 2).k_value
-                assert stability.lambda2_closed(m, t) == pytest.approx(want, abs=1e-12)
+                got = stability.k_closed_form(m, t, 2).lambda_upper
+                assert got == pytest.approx(_lambda2_explicit(m, t), abs=1e-12)
 
     def test_varpi_one_value(self):
         m, t = varpi_atom(1.0)
-        assert stability.lambda2_closed(m, t) == pytest.approx(1.495608735024679, rel=1e-12)
+        got = stability.k_closed_form(m, t, 2).lambda_upper
+        assert got == pytest.approx(1.495608735024679, rel=1e-12)
 
     def test_zero_temperature_floor(self):
         m = measure.einstein(1.0)
-        assert stability.lambda2_closed(m, 1e-7) == pytest.approx(0.6, abs=1e-4)
+        got = stability.k_closed_form(m, 1e-7, 2).lambda_upper
+        assert got == pytest.approx(0.6, abs=1e-4)
 
     def test_high_temperature_rank_two_gamma_limit(self):
         # scaled by the squared first Matsubara offset the rank-two value

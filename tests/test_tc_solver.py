@@ -155,6 +155,21 @@ class TestEigensolveBudget:
                 assert tc_solver.tc_n(m, lam, n).value is not None
                 assert eigensolves[0] <= 10, (lam, n, eigensolves[0])
 
+    def test_wide_spectrum_cold_solve(self, eigensolves):
+        # two atoms at 1e-20 and 1: from its start near Tc_sharp / 2 the solve
+        # crosses some twenty decades to the root near 1e-22 (73 eigensolves
+        # at a fixed widening factor of four)
+        m = measure.discrete([(0.5, 1e-20), (0.5, 1.0)])
+        assert tc_solver.tc_n(m, 0.43, 4).value == pytest.approx(9.6996418384e-23, rel=1e-10)
+        assert eigensolves[0] <= 16
+
+    def test_root_below_the_input_band_solves(self):
+        # at 1e-30 the root lies near 9.7e-33, below the input band; Tc_4
+        # scales with the lower atom as it does at 1e-20
+        low, lower = (tc_solver.tc_n(measure.discrete([(0.5, w), (0.5, 1.0)]), 0.43, 4).value / w
+                      for w in (1e-20, 1e-30))
+        assert lower == pytest.approx(low, rel=1e-12)
+
     @pytest.mark.parametrize("name", list(BUDGET_MEASURES))
     def test_warm_started_ladder(self, name, eigensolves):
         m = BUDGET_MEASURES[name]()
