@@ -11,6 +11,8 @@ computed here in closed form for atoms.  For tabulated densities they come
 from the elementary antiderivatives on each linear segment, arranged to
 avoid cancellation, or, once 2 n pi T >= 4 omega_max, from the alternating
 series in the even moments; both are accurate to about 1e-14 relative.
+Their slopes in T^2, which a Tc solve needs beside them, come from the
+same pass, which forms each segment term once for both.
 Measures are immutable after construction, so all reads are safe
 concurrently; the one memo, of moments, only ever gains the value any
 reader would compute.
@@ -77,6 +79,93 @@ def _moments(segments: np.ndarray, k_max: int) -> np.ndarray:
     return per_segment.sum(axis=0) / ((k + 1) * (k + 2))
 
 
+
+# The tabulated averages and the averages of x (1 - x), x = w^2/(w^2+c^2),
+# the negated slopes, at Matsubara offsets c in units of omega_max, from the
+# segment antiderivatives.  On [a, b] of width h with density alpha + beta*w,
+# with u = c*h/(c^2+ab), v = (b^2-a^2)/(c^2+a^2) and r = c^2/(c^2+a^2),
+#
+#     integral w^2/(w^2+c^2) = h*ab/(c^2+ab) + c*(u - atan u),
+#     integral w^3/(w^2+c^2) = (b^2-a^2)/2 * a^2/(c^2+a^2) + c^2/2 * (v - log1p v),
+#     integral w^2 c^2/(w^2+c^2)^2
+#        = c/2 * atan u + h/2 * r (ab - c^2)/(b^2+c^2)
+#        = h/2 * r (2a^2b^2 + c^2(a^2+b^2)) / ((c^2+ab)(b^2+c^2)) - c/2 * (u - atan u),
+#     integral w^3 c^2/(w^2+c^2)^2
+#        = c^2/2 * (log1p v - r v/(1+v)) = c^2/2 * (v (1 - r + v)/(1+v) - (v - log1p v))
+#
+# (the atan and log differences of the textbook antiderivatives folded into
+# one argument), so every term of the averages is nonnegative.  u - atan u
+# and v - log1p v come from series where they would cancel (u < 1/4,
+# v < 1/16, c^2 above ab, a^2: below it the first term holds at least half of
+# the integral).  The first forms of the x (1 - x) integrals cancel badly
+# only where c^2 > ab (a^2) and u (v) < 1, and the second forms are used
+# there; less than a factor 8 is lost.  The two kinds share u, v, r, atan u,
+# log1p v and the series, formed once.  Each helper returns its integrals
+# summed against the density, so the (rows x segments) arrays of only one
+# are alive at a time: at count 511 on 2000 segments one is 8 MB.
+
+def _atan_integrals(c, c2, r, alpha, h, ab, a2, b2):
+    """The integrals of w^2/(w^2+c^2) and, given r (else None), of
+    w^2 c^2/(w^2+c^2)^2 on each segment, summed against ``alpha``."""
+    d = c2 + ab
+    u = c * h
+    u /= d
+    j0 = np.divide(ab, d, out=d)
+    j0 *= h
+    near = (u < _SERIES_BELOW ** 0.5) & (c2 > ab)
+    us = u[near]
+    s = us ** 2
+    series = _horner(s, _ATAN_SERIES)
+    atan = np.arctan(u)
+    diff = u - atan
+    tail = c * diff
+    tail[near] = np.repeat(c[:, 0], near.sum(axis=1)) * us * s * series  # rows in turn
+    j0 += tail
+    if r is None:
+        return j0 @ alpha, None
+    i0 = np.multiply(0.5 * c, atan, out=atan)  # into spent buffers
+    rest = np.multiply(0.5 * h, r, out=tail)
+    rest *= ab - c2
+    rest /= b2 + c2
+    i0 += rest
+    diff[near] = us ** 3 * series
+    cut = (c2 > ab) & (u < 1.0)
+    rows, cols = np.nonzero(cut)
+    c2s = c2[rows, 0]
+    i0[cut] = (0.5 * h[cols] * r[cut] * (2.0 * ab[cols] ** 2 + c2s * (a2[cols] + b2[cols]))
+               / ((c2s + ab[cols]) * (b2[cols] + c2s)) - 0.5 * c[rows, 0] * diff[cut])
+    return j0 @ alpha, i0 @ alpha
+
+
+def _log_integrals(c2, r, beta, a2, span):
+    """The integrals of w^3/(w^2+c^2) and, given r (else None), of w^3 c^2/
+    (w^2+c^2)^2 on each segment, span = b^2-a^2, summed against ``beta``."""
+    d = c2 + a2
+    v = span / d
+    j1 = np.divide(a2, d, out=d)
+    j1 *= span
+    near = (v < _SERIES_BELOW) & (c2 > a2)
+    vs = v[near]
+    series = _horner(vs, _LOG_SERIES)
+    log = np.log1p(v)
+    diff = v - log
+    tail = c2 * diff
+    tail[near] = np.repeat(c2[:, 0], near.sum(axis=1)) * vs * vs * series
+    j1 += tail
+    if r is None:
+        return j1 @ beta, None
+    i1 = np.multiply(r, v, out=tail)
+    i1 /= 1.0 + v
+    np.subtract(log, i1, out=i1)
+    i1 *= 0.5 * c2
+    diff[near] = vs * vs * series
+    cut = (c2 > a2) & (v < 1.0)
+    vc = v[cut]
+    c2s = np.repeat(c2[:, 0], cut.sum(axis=1))
+    i1[cut] = 0.5 * c2s * (vc * (1.0 - r[cut] + vc) / (1.0 + vc) - diff[cut])
+    return j1 @ beta, i1 @ beta
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Validated, unit-mass phonon spectral measure.
@@ -103,8 +192,12 @@ class SpectralMeasure:
     weights: np.ndarray = field(repr=False)
     omega_max: float
     segments: np.ndarray | None = field(init=False, repr=False, compare=False)
-    # even moments <w^2>..<w^(2*_MOMENT_TERMS)> in units of omega_max (tabulated)
-    _even_moments: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # tabulated: the even moments <w^2k>, k = 1.._MOMENT_TERMS, in units of
+    # omega_max, beside k <w^2k>, in shape (_MOMENT_TERMS, 2, 1)
+    _moment_series: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # rows alpha, beta, h, ab, a^2, b^2, b^2-a^2 of the segments in units of
+    # omega_max, density alpha + beta*w on [a, b] of width h (tabulated)
+    _segment_terms: np.ndarray | None = field(init=False, repr=False, compare=False)
     # moment(k) by k, filled on first request
     _moment_memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -114,21 +207,23 @@ class SpectralMeasure:
             check_scalar("lowest frequency", self.omegas[0])
         self.omegas.setflags(write=False)
         self.weights.setflags(write=False)
-        table = moments = None
+        table = series = terms = None
         if self.kind == "tabulated":
             w, p = self.omegas, self.weights
             keep = w[1:] > w[:-1]  # scaled() may round neighbouring nodes together
             table = np.array([w[:-1][keep], w[1:][keep], p[:-1][keep], p[1:][keep]])
             table.setflags(write=False)
+            scale = self.omega_max
+            unit = table * np.array([[1.0 / scale], [1.0 / scale], [scale], [scale]])
+            moments = _moments(unit, 2 * _MOMENT_TERMS)[2::2]
+            series = np.array([moments, moments * np.arange(1, _MOMENT_TERMS + 1)]).T[..., None]
+            a, b, pa, pb = unit
+            beta = (pb - pa) / (b - a)
+            terms = np.array([pa - beta * a, beta, b - a, a * b, a * a, b * b, (b - a) * (a + b)])
+            terms.setflags(write=False)
         object.__setattr__(self, "segments", table)
-        if table is not None:
-            moments = _moments(self._unit_segments(), 2 * _MOMENT_TERMS)[2::2]
-        object.__setattr__(self, "_even_moments", moments)
-
-    def _unit_segments(self) -> np.ndarray:
-        """The segment table with omega_max as the unit of frequency."""
-        scale = self.omega_max
-        return self.segments * np.array([[1.0 / scale], [1.0 / scale], [scale], [scale]])
+        object.__setattr__(self, "_moment_series", series)
+        object.__setattr__(self, "_segment_terms", terms)
 
     # -- moments -----------------------------------------------------------
 
@@ -152,8 +247,9 @@ class SpectralMeasure:
         check_scalar("temperature", t)
         return float(self.kernel_values(t, n)[n])
 
-    def kernel_values(self, t: float, count: int) -> np.ndarray:
-        """Averages <<1>> .. <<count>> as an array indexed by n (entry 0 is 0).
+    def kernel_values(self, t: float, count: int, *, slopes: bool = False):
+        """Averages <<1>> .. <<count>> as an array indexed by n (entry 0 is 0),
+        or with ``slopes=True`` the pair of it and :meth:`kernel_slopes`.
 
         The zero at index 0 encodes the convention that the same-site
         exchange kernel vanishes, so matrix assembly can index differences
@@ -161,173 +257,61 @@ class SpectralMeasure:
         outside the band of :func:`eliashberg_tc.numerics.check_scalar`.
         """
         check_scalar("temperature", t, banded=False)
-        out = np.zeros(count + 1, dtype=float)
+        values, rates = np.zeros(count + 1), np.zeros(count + 1)
         # far above the band the squared offsets (from T ~ 1e153) and then
         # the offsets themselves (from T ~ 1e306) overflow to inf, which
-        # gives each average its exact limit 0
+        # gives each average and each slope its exact limit 0
         with np.errstate(over="ignore"):
             c = 2.0 * np.pi * t * np.arange(1, count + 1, dtype=float)  # offsets of 1 .. count
-            if self.kind in ("einstein", "discrete"):
+            if self.kind != "tabulated":
+                c = c[:, None]
                 w2 = self.omegas ** 2
-                out[1:] = np.sum(
-                    self.weights[None, :] * w2[None, :] / (w2[None, :] + c[:, None] ** 2),
-                    axis=1,
-                )
-                return out
-        offsets = c / self.omega_max
+                values[1:] = np.sum(self.weights * w2 / (w2 + c ** 2), axis=1)
+                if slopes:
+                    # sqrt(x (1 - x)) = q / (1 + q^2) is unchanged by q -> 1/q,
+                    # and the smaller of the two keeps q^2 from overflowing
+                    q = c / self.omegas
+                    p = np.minimum(q, 1.0 / q)
+                    rates[1:] = -(p / (1.0 + p * p)) ** 2 @ self.weights
+                return (values, rates) if slopes else values
+            offsets = c / self.omega_max
         low = int(np.searchsorted(offsets, _MOMENT_OFFSET))
         if low:
-            out[1:1 + low] = self._segment_averages(offsets[:low])
+            alpha, beta, h, ab, a2, b2, span = self._segment_terms
+            c = np.maximum(offsets[:low], _OFFSET_FLOOR)[:, None]
+            c2 = c * c
+            r = c2 / (c2 + a2) if slopes else None
+            j0, i0 = _atan_integrals(c, c2, r, alpha, h, ab, a2, b2)
+            j1, i1 = _log_integrals(c2, r, beta, a2, span)
+            # the exact averages lie below 1; clip rounding as c -> 0
+            values[1:1 + low] = np.minimum(j0 + 0.5 * j1, 1.0)
+            if slopes:
+                rates[1:1 + low] = -np.clip(i0 + i1, 0.0, 0.25)
         if low < count:
+            # the moment series and, for the slopes, minus x d/dx of it
             x = np.reciprocal(offsets[low:]) ** 2
-            out[1 + low:] = x * _horner(-x, self._even_moments)
-        return out
+            far = x * _horner(-x, self._moment_series if slopes else self._moment_series[:, 0, 0])
+            values[1 + low:], rates[1 + low:] = (far[0], -far[1]) if slopes else (far, 0.0)
+        return (values, rates) if slopes else values
 
     def kernel_slopes(self, t: float, count: int) -> np.ndarray:
         """Scale-free temperature slopes u d<<n>>/du, u = T^2, for n = 1 ..
-        count, indexed like :meth:`kernel_values` (entry 0 is 0).
+        count, indexed like :meth:`kernel_values` (entry 0 is 0): the second
+        array of ``kernel_values(t, count, slopes=True)``, one segment pass.
 
         Each is minus the average of x (1 - x), x = w^2 / (w^2 + (2 n pi T)^2),
         so it lies in [-1/4, 0] and cannot overflow at any temperature;
-        d<<n>>/d(T^2) is the slope over T^2.  Tabulated densities take the
-        same two routes as :meth:`kernel_values`.  Any finite positive ``t``
-        is accepted.
+        d<<n>>/d(T^2) is the slope over T^2.  Any finite positive ``t`` is
+        accepted.
         """
-        check_scalar("temperature", t, banded=False)
-        c = 2.0 * np.pi * t * np.arange(1, count + 1, dtype=float)
-        out = np.zeros(count + 1, dtype=float)
-        if self.kind in ("einstein", "discrete"):
-            q = c[:, None] / self.omegas[None, :]
-            # sqrt(x (1 - x)) = q / (1 + q^2), unchanged by q -> 1/q: taking
-            # the smaller of the two keeps q^2 from overflowing, and q = inf
-            # (t beyond 1e307) gives the exact limit 0
-            p = np.minimum(q, 1.0 / q)
-            root = p / (1.0 + p * p)
-            out[1:] = -(root * root) @ self.weights
-            return out
-        offsets = c / self.omega_max
-        low = int(np.searchsorted(offsets, _MOMENT_OFFSET))
-        if low:
-            out[1:1 + low] = -self._segment_slopes(offsets[:low])
-        if low < count:
-            # minus x d/dx of the series sum_k (-1)^(k+1) <w^2k> x^k
-            x = np.reciprocal(offsets[low:]) ** 2
-            weighted = self._even_moments * np.arange(1, _MOMENT_TERMS + 1)
-            out[1 + low:] = -x * _horner(-x, weighted)
-        return out
-
-    def _segment_averages(self, offsets: np.ndarray) -> np.ndarray:
-        """Tabulated averages at Matsubara offsets c given in units of
-        omega_max, from the segment antiderivatives.
-
-        On a segment [a, b] of width h with density alpha + beta*w,
-
-            integral w^2/(w^2+c^2) = h*ab/(c^2+ab) + c*(u - atan u),
-                 u = c*h/(c^2+ab),
-            integral w^3/(w^2+c^2)
-               = (b^2-a^2)/2 * a^2/(c^2+a^2) + c^2/2 * (v - log1p v),
-                 v = (b^2-a^2)/(c^2+a^2)
-
-        (the atan and log differences of the textbook antiderivatives folded
-        into one argument), so every term is nonnegative.  The differences
-        u - atan u and v - log1p v come from series where they would cancel;
-        elsewhere their cancellation is bounded, or they are small beside the
-        first term.
-        """
-        a, b, pa, pb = self._unit_segments()
-        beta = (pb - pa) / (b - a)
-        alpha = pa - beta * a
-        h, ab, a2 = b - a, a * b, a * a
-        sq_diff = h * (a + b)
-        c = np.maximum(offsets, _OFFSET_FLOOR)[:, None]
-        c2 = c * c
-
-        d = c2 + ab
-        u = c * h / d
-        first = h * (ab / d)
-        j0 = first + c * (u - np.arctan(u))
-        # below c^2 = ab the first term holds at least half of the integral
-        series = (u < _SERIES_BELOW ** 0.5) & (c2 > ab)
-        s = u[series] ** 2
-        j0[series] = first[series] + (c * u)[series] * s * _horner(s, _ATAN_SERIES)
-
-        d = c2 + a2
-        v = sq_diff / d
-        first = sq_diff * (a2 / d)
-        j1 = first + c2 * (v - np.log1p(v))
-        series = (v < _SERIES_BELOW) & (c2 > a2)
-        s = v[series]
-        j1[series] = first[series] + (c2 * v)[series] * s * _horner(s, _LOG_SERIES)
-
-        # the exact averages lie below 1; clip rounding as c -> 0
-        return np.minimum(j0 @ alpha + 0.5 * (j1 @ beta), 1.0)
-
-    def _segment_slopes(self, offsets: np.ndarray) -> np.ndarray:
-        """Tabulated averages of x (1 - x), x = w^2/(w^2+c^2), at Matsubara
-        offsets c given in units of omega_max, from the segment
-        antiderivatives; the slopes are their negatives.
-
-        On a segment [a, b] with density alpha + beta*w, and with u, v as in
-        :meth:`_segment_averages` and r = c^2/(c^2+a^2),
-
-            integral w^2 c^2/(w^2+c^2)^2
-               = c/2 * atan u + h/2 * r (ab - c^2)/(b^2+c^2)
-               = h/2 * r (2a^2b^2 + c^2(a^2+b^2)) / ((c^2+ab)(b^2+c^2))
-                 - c/2 * (u - atan u),
-            integral w^3 c^2/(w^2+c^2)^2
-               = c^2/2 * (log1p v - r v/(1+v))
-               = c^2/2 * (v (1 - r + v)/(1+v) - (v - log1p v)).
-
-        The first forms cancel badly only where c^2 > ab (a^2) and u (v) < 1;
-        the second forms are used there, with the differences from series
-        below 1/4 (1/16).  Either way less than a factor 8 is lost to
-        cancellation.  The result is clipped to [0, 1/4].
-        """
-        a, b, pa, pb = self._unit_segments()
-        beta = (pb - pa) / (b - a)
-        alpha = pa - beta * a
-        c = np.maximum(offsets, _OFFSET_FLOOR)[:, None]
-        # every operand as a (rows x segments) array, so masks select alike
-        a, b, c = np.broadcast_arrays(a, b, c)
-        h, ab, a2, b2, c2 = b - a, a * b, a * a, b * b, c * c
-        r = c2 / (c2 + a2)
-
-        d = c2 + ab
-        u = c * h / d
-        i0 = 0.5 * c * np.arctan(u) + 0.5 * h * r * (ab - c2) / (b2 + c2)
-        s = (c2 > ab) & (u < 1.0)
-        us = u[s]
-        diff = np.where(us < _SERIES_BELOW ** 0.5,
-                        us ** 3 * _horner(us * us, _ATAN_SERIES), us - np.arctan(us))
-        i0[s] = (0.5 * h[s] * r[s] * (2.0 * ab[s] ** 2 + c2[s] * (a2[s] + b2[s]))
-                 / (d[s] * (b2[s] + c2[s])) - 0.5 * c[s] * diff)
-
-        v = h * (a + b) / (c2 + a2)
-        i1 = 0.5 * c2 * (np.log1p(v) - r * v / (1.0 + v))
-        s = (c2 > a2) & (v < 1.0)
-        vs = v[s]
-        diff = np.where(vs < _SERIES_BELOW, vs * vs * _horner(vs, _LOG_SERIES),
-                        vs - np.log1p(vs))
-        i1[s] = 0.5 * c2[s] * (vs * (1.0 - r[s] + vs) / (1.0 + vs) - diff)
-
-        return np.clip(i0 @ alpha + i1 @ beta, 0.0, 0.25)
+        return self.kernel_values(t, count, slopes=True)[1]
 
     def scaled(self, s: float) -> "SpectralMeasure":
         """Pushforward under w -> s*w; tabulated densities pick up a 1/s."""
         check_scalar("scale", s)
-        if self.kind == "tabulated":
-            return SpectralMeasure(
-                kind=self.kind,
-                omegas=self.omegas * s,
-                weights=self.weights / s,
-                omega_max=self.omega_max * s,
-            )
-        return SpectralMeasure(
-            kind=self.kind,
-            omegas=self.omegas * s,
-            weights=self.weights.copy(),
-            omega_max=self.omega_max * s,
-        )
+        weights = self.weights / s if self.kind == "tabulated" else self.weights.copy()
+        return SpectralMeasure(kind=self.kind, omegas=self.omegas * s, weights=weights,
+                               omega_max=self.omega_max * s)
 
     def describe(self) -> str:
         if self.kind == "einstein":

@@ -406,14 +406,17 @@ def newton_bracketed(
     ``f(x)`` returns the value and the slope at x > 0.  From ``x0`` the
     iteration keeps the sign-change bracket [a, b] of the values seen so far
     and takes Newton steps.  It takes a bisection step instead whenever a
-    Newton step would leave the bracket, the slope is not positive, or the
+    Newton step would leave the bracket, the slope is not positive, the
     step turns back by more than half the step before it, which stops
     oscillation (after Brent, Algorithms for Minimization without
-    Derivatives, 1973).  While no positive value has been seen the
-    bisection step multiplies x by a factor, while no negative one has it
-    divides b by it, and consecutive such steps square the factor (4, 16,
-    256, ...: Bentley and Yao, Inf. Proc. Letters 5, 1976), up to the end of
-    the positive finite floats.  Each trial point is evaluated once.  The
+    Derivatives, 1973), or, in a closed bracket, it runs on longer than the
+    step before it, which stops a creep toward a root decades away.  While
+    no positive value has been seen the bisection step multiplies x by a
+    factor, while no negative one has it divides b by it, and consecutive
+    such steps square the factor (4, 16, 256, ...: Bentley and Yao, Inf.
+    Proc. Letters 5, 1976), up to the end of the positive finite floats;
+    in a closed bracket it is the geometric mean while b > 4a, else the
+    midpoint.  Each trial point is evaluated once.  The
     iteration stops at the first step no longer than ``tol`` times its end
     point and returns that end point: after a Newton step the error is of
     the order of the step squared.
@@ -433,13 +436,14 @@ def newton_bracketed(
         else:
             b = x
         new = x - value / slope if slope > 0.0 else math.nan
-        if not a < new < b or (new - x) * last < 0.0 and abs(new - x) > 0.5 * abs(last):
+        ratio = (new - x) / last if last else 0.0  # of this step to the one before
+        if not a < new < b or ratio < -0.5 or ratio > 1.0 and 0.0 < a and b < math.inf:
             if b == math.inf:
                 new, factor = a * factor, factor * factor
             elif a == 0.0:
                 new, factor = b / factor, factor * factor
             else:
-                new = 0.5 * (a + b)
+                new = math.sqrt(a) * math.sqrt(b) if b > 4.0 * a else 0.5 * (a + b)
         else:
             factor = 4.0
         if not 0.0 < new < math.inf:

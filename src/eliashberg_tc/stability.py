@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .measure import SpectralMeasure
 from .numerics import check_rank, check_scalar, power_iteration_positive, sym_eig_top
 
@@ -131,6 +131,10 @@ class SplitTruncation:
     kernel: np.ndarray
     n: int
 
+    def __post_init__(self):
+        if len(self.kernel) < 2 * self.n:
+            raise ValidationError(f"rank {self.n} needs kernel entries 0 .. {2 * self.n - 1}")
+
     def __len__(self) -> int:
         return self.n
 
@@ -185,21 +189,23 @@ class SplitTruncation:
         return float(self.kernel[:2 * n] @ weights)
 
 
-def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True) -> SplitTruncation:
+def assemble_k(m: SpectralMeasure, t: float, n: int, *, banded: bool = True,
+               kernel: Optional[np.ndarray] = None) -> SplitTruncation:
     """The rank-N truncation at temperature ``t``, as its
     :class:`SplitTruncation` on the 2N-1 kernel averages: every matrix entry
     is a combination of them, and :meth:`SplitTruncation.dense` assembles
     the matrix, exactly symmetric by construction.  ``banded=False`` accepts
     any finite positive temperature, as the trial temperatures of a Tc solve
-    need.
+    need.  Given ``kernel``, ``m.kernel_values(t, 2N-1)``, it is not computed again.
     """
     check_rank("order", n)
     check_scalar("temperature", t, banded=banded)
-    return SplitTruncation(m.kernel_values(t, 2 * n - 1), n)
+    return SplitTruncation(m.kernel_values(t, 2 * n - 1) if kernel is None else kernel, n)
 
 
 def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True,
-              start: Optional[np.ndarray] = None) -> KBound:
+              start: Optional[np.ndarray] = None,
+              kernel: Optional[np.ndarray] = None) -> KBound:
     """Top eigenvalue of the rank-N truncation by :func:`sym_eig_top` on the
     :class:`SplitTruncation` of :func:`assemble_k`: Lanczos on its own
     product from rank 72 on, Rayleigh-quotient iteration from ``start`` if
@@ -207,11 +213,12 @@ def k_numeric(m: SpectralMeasure, t: float, n: int, *, banded: bool = True,
 
     The eigenvector is componentwise positive after sign normalization.
     ``banded=False`` accepts any finite positive temperature, as the trial
-    temperatures of a Tc solve need.  Far above the band every kernel
-    average underflows to zero; the top eigenvalue, positive in exact
-    arithmetic, then comes out zero and a :class:`NumericalError` is raised.
+    temperatures of a Tc solve need, and ``kernel`` goes to :func:`assemble_k`.
+    Far above the band every kernel average underflows to zero; the top
+    eigenvalue, positive in exact arithmetic, then comes out zero and a
+    :class:`NumericalError` is raised.
     """
-    return eigensolver_bound(assemble_k(m, t, n, banded=banded), t, start)
+    return eigensolver_bound(assemble_k(m, t, n, banded=banded, kernel=kernel), t, start)
 
 
 def eigensolver_bound(mat, t: float, start: Optional[np.ndarray] = None) -> KBound:
@@ -226,7 +233,8 @@ def eigensolver_bound(mat, t: float, start: Optional[np.ndarray] = None) -> KBou
                   eigvec=pair.vector)
 
 
-def k_slope(m: SpectralMeasure, t: float, vector: np.ndarray) -> float:
+def k_slope(m: SpectralMeasure, t: float, vector: np.ndarray, *,
+            slopes: Optional[np.ndarray] = None) -> float:
     """Temperature slope dk_N/d(T^2) of the top eigenvalue at ``t``, given
     the unit top eigenvector ``vector`` of the rank-N truncation there
     (``KBound.eigvec``).  Any finite positive ``t`` is accepted; one whose
@@ -237,15 +245,18 @@ def k_slope(m: SpectralMeasure, t: float, vector: np.ndarray) -> float:
     enough c, so its top eigenvector is a Perron vector.  The truncation is
     linear in the kernel, so by Hellmann-Feynman the slope is
     v^T truncation(d kernel/d(T^2)) v, one quadratic form
-    (:meth:`SplitTruncation.quadratic_form`) on the kernel slopes of
-    :meth:`SpectralMeasure.kernel_slopes`; no second N x N matrix is formed.
+    (:meth:`SplitTruncation.quadratic_form`) on the kernel slopes
+    ``m.kernel_slopes(t, 2N-1)``, or on ``slopes`` if given (a Tc solve takes
+    them and the averages for :func:`k_numeric` from one pass); no second
+    N x N matrix is formed.
     """
     check_scalar("temperature", t, banded=False)
     if t * t < sys.float_info.min:
         raise NumericalError(f"temperature {t!r} squares below the smallest normal float; "
                              "no slope in T^2 follows")
     n = len(vector)
-    return SplitTruncation(m.kernel_slopes(t, 2 * n - 1), n).quadratic_form(vector) / (t * t)
+    slopes = m.kernel_slopes(t, 2 * n - 1) if slopes is None else slopes
+    return SplitTruncation(slopes, n).quadratic_form(vector) / (t * t)
 
 
 def _odd_reciprocal_sum(lo: int, hi: int) -> tuple[int, int]:

@@ -90,9 +90,10 @@ def tc_n(m: SpectralMeasure, lam: float, n: int, *, _start: Optional[float] = No
     def residual(u: float) -> tuple[float, float]:
         """1/k_N - lam at T^2 = u, and its slope in u."""
         t = math.sqrt(u)
-        bound = stability.k_numeric(m, t, n, banded=False, start=held[0])
+        values, slopes = m.kernel_values(t, 2 * n - 1, slopes=True)
+        bound = stability.k_numeric(m, t, n, banded=False, start=held[0], kernel=values)
         held[0] = bound.eigvec
-        slope = stability.k_slope(m, t, bound.eigvec)
+        slope = stability.k_slope(m, t, bound.eigvec, slopes=slopes)
         return bound.lambda_upper - lam, -slope * bound.lambda_upper ** 2
 
     # 1/k_N rises from the rank floor (below lam) at u = 0 without bound

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -462,3 +463,180 @@ class TestTabulatedProperties:
         want = m.kernel_values(t, 32)[1:]
         got = m.scaled(s).kernel_values(s * t, 32)[1:]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# -- one pass for the averages and their slopes --------------------------------
+
+
+def _reference_averages(unit, offsets):
+    """Tabulated averages by the segment routine that once served the
+    averages alone (``unit``: the segment table in units of omega_max)."""
+    a, b, pa, pb = unit
+    beta = (pb - pa) / (b - a)
+    alpha = pa - beta * a
+    h, ab, a2 = b - a, a * b, a * a
+    sq_diff = h * (a + b)
+    c = np.maximum(offsets, measure._OFFSET_FLOOR)[:, None]
+    c2 = c * c
+    d = c2 + ab
+    u = c * h / d
+    first = h * (ab / d)
+    j0 = first + c * (u - np.arctan(u))
+    series = (u < measure._SERIES_BELOW ** 0.5) & (c2 > ab)
+    s = u[series] ** 2
+    j0[series] = first[series] + (c * u)[series] * s * measure._horner(s, measure._ATAN_SERIES)
+    d = c2 + a2
+    v = sq_diff / d
+    first = sq_diff * (a2 / d)
+    j1 = first + c2 * (v - np.log1p(v))
+    series = (v < measure._SERIES_BELOW) & (c2 > a2)
+    s = v[series]
+    j1[series] = first[series] + (c2 * v)[series] * s * measure._horner(s, measure._LOG_SERIES)
+    return np.minimum(j0 @ alpha + 0.5 * (j1 @ beta), 1.0)
+
+
+def _reference_slopes(unit, offsets):
+    """Tabulated averages of x (1 - x) by the segment routine that once
+    served the slopes alone, forming every operand again."""
+    a, b, pa, pb = unit
+    beta = (pb - pa) / (b - a)
+    alpha = pa - beta * a
+    c = np.maximum(offsets, measure._OFFSET_FLOOR)[:, None]
+    a, b, c = np.broadcast_arrays(a, b, c)
+    h, ab, a2, b2, c2 = b - a, a * b, a * a, b * b, c * c
+    r = c2 / (c2 + a2)
+    d = c2 + ab
+    u = c * h / d
+    i0 = 0.5 * c * np.arctan(u) + 0.5 * h * r * (ab - c2) / (b2 + c2)
+    s = (c2 > ab) & (u < 1.0)
+    us = u[s]
+    diff = np.where(us < measure._SERIES_BELOW ** 0.5,
+                    us ** 3 * measure._horner(us * us, measure._ATAN_SERIES), us - np.arctan(us))
+    i0[s] = (0.5 * h[s] * r[s] * (2.0 * ab[s] ** 2 + c2[s] * (a2[s] + b2[s]))
+             / (d[s] * (b2[s] + c2[s])) - 0.5 * c[s] * diff)
+    v = h * (a + b) / (c2 + a2)
+    i1 = 0.5 * c2 * (np.log1p(v) - r * v / (1.0 + v))
+    s = (c2 > a2) & (v < 1.0)
+    vs = v[s]
+    diff = np.where(vs < measure._SERIES_BELOW, vs * vs * measure._horner(vs, measure._LOG_SERIES),
+                    vs - np.log1p(vs))
+    i1[s] = 0.5 * c2[s] * (vs * (1.0 - r[s] + vs) / (1.0 + vs) - diff)
+    return np.clip(i0 @ alpha + i1 @ beta, 0.0, 0.25)
+
+
+def _reference_pair(m, t, count):
+    """``kernel_values(t, count)`` and ``kernel_slopes(t, count)`` as two
+    separate routines computed them: the bits the one pass must keep."""
+    values, slopes = np.zeros(count + 1), np.zeros(count + 1)
+    with np.errstate(over="ignore"):
+        c = 2.0 * np.pi * t * np.arange(1, count + 1, dtype=float)
+        if m.kind != "tabulated":
+            w2 = m.omegas ** 2
+            values[1:] = np.sum(m.weights[None, :] * w2[None, :] / (w2[None, :] + c[:, None] ** 2),
+                                axis=1)
+            q = c[:, None] / m.omegas[None, :]
+            p = np.minimum(q, 1.0 / q)
+            root = p / (1.0 + p * p)
+            slopes[1:] = -(root * root) @ m.weights
+            return values, slopes
+        scale = m.omega_max
+        offsets = c / scale
+    unit = m.segments * np.array([[1.0 / scale], [1.0 / scale], [scale], [scale]])
+    moments = measure._moments(unit, 2 * measure._MOMENT_TERMS)[2::2]
+    low = int(np.searchsorted(offsets, measure._MOMENT_OFFSET))
+    if low:
+        values[1:1 + low] = _reference_averages(unit, offsets[:low])
+        slopes[1:1 + low] = -_reference_slopes(unit, offsets[:low])
+    if low < count:
+        x = np.reciprocal(offsets[low:]) ** 2
+        values[1 + low:] = x * measure._horner(-x, moments)
+        weighted = moments * np.arange(1, measure._MOMENT_TERMS + 1)
+        slopes[1 + low:] = -x * measure._horner(-x, weighted)
+    return values, slopes
+
+
+def _assert_pass_is_reference(m, t, count):
+    values, slopes = m.kernel_values(t, count, slopes=True)
+    want_values, want_slopes = _reference_pair(m, t, count)
+    assert values.tobytes() == want_values.tobytes(), (t, count)
+    assert slopes.tobytes() == want_slopes.tobytes(), (t, count)
+    assert m.kernel_values(t, count).tobytes() == want_values.tobytes(), (t, count)
+    assert m.kernel_slopes(t, count).tobytes() == want_slopes.tobytes(), (t, count)
+
+
+def _threshold_temperatures(m):
+    """Temperatures at which the first offset c = 2 pi T / omega_max meets
+    _MOMENT_OFFSET, or u = c h/(c^2+ab) (above c^2 = ab) meets 1/4 and 1, or
+    v = (b^2-a^2)/(c^2+a^2) (above c^2 = a^2) meets 1/16 and 1, on the
+    first, a middle and the last segment, each just below and just above."""
+    offsets = [measure._MOMENT_OFFSET]
+    a, b, _, _ = m.segments / m.omega_max
+    for j in {0, len(a) // 2, len(a) - 1}:
+        h, ab, span = b[j] - a[j], a[j] * b[j], b[j] ** 2 - a[j] ** 2
+        for level in (measure._SERIES_BELOW ** 0.5, 1.0):
+            if h * h > 4.0 * level * level * ab:
+                offsets.append((h + math.sqrt(h * h - 4.0 * level * level * ab)) / (2.0 * level))
+        for level in (measure._SERIES_BELOW, 1.0):
+            if span > 2.0 * level * a[j] ** 2:
+                offsets.append(math.sqrt(span / level - a[j] ** 2))
+    return [c * m.omega_max / (2.0 * math.pi) * (1.0 + side)
+            for c in offsets for side in (-1e-9, 1e-9)]
+
+
+PASS_MEASURES = {
+    **ORACLE_MEASURES,
+    "gapped": lambda: measure.tabulated([(0.5, 0.0), (1.0, 1.0), (1.5, 1.0), (2.0, 0.0)]),
+    "einstein": lambda: measure.einstein(1.3),
+    "two-atoms": lambda: measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
+    "five-atoms": lambda: measure.discrete([(0.1, 0.2), (0.3, 0.5), (0.2, 1.0), (0.3, 1.7),
+                                            (0.1, 2.0)]),
+}
+
+
+class TestKernelPass:
+    @pytest.mark.parametrize("name", list(PASS_MEASURES))
+    def test_pass_keeps_the_bits_of_the_separate_routines(self, name):
+        m = PASS_MEASURES[name]()
+        for ratio in np.geomspace(1e-4, 3.0, 9):
+            for count in (1, 7, 63):
+                _assert_pass_is_reference(m, ratio * m.omega_max, count)
+
+    @pytest.mark.parametrize("name", ["triangle", "bumps-50", "rough-200", "gapped"])
+    def test_pass_at_the_route_and_series_thresholds(self, name):
+        m = PASS_MEASURES[name]()
+        temperatures = _threshold_temperatures(m)
+        assert len(temperatures) >= 10
+        for t in temperatures:
+            for count in (1, 3, 31):
+                _assert_pass_is_reference(m, t, count)
+
+    @given(densities(), st.floats(-4.0, 1.0), st.integers(1, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_pass_on_random_densities(self, m, log_t, count):
+        _assert_pass_is_reference(m, 10.0 ** log_t * m.omega_max, count)
+
+    @pytest.mark.parametrize("name, count", [("triangle", 2047), ("rough-1000", 127),
+                                             ("einstein", 2047), ("two-atoms", 2047)])
+    def test_extreme_temperatures_stay_finite(self, name, count):
+        m = PASS_MEASURES[name]()
+        for ratio in np.geomspace(1e-100, 1e100, 21):
+            with np.errstate(all="raise"):
+                values, slopes = m.kernel_values(m.omega_max / ratio, count, slopes=True)
+            assert np.all((values[1:] >= 0.0) & (values[1:] <= 1.0))
+            assert np.all((slopes[1:] >= -0.25) & (slopes[1:] <= 0.0))
+
+    def test_memory_stays_below_the_separate_routines(self):
+        # 2000 nodes, T = 1e-3 omega_max, 511 averages: nearly every offset
+        # lies on the segment route and inside a series.  The routines the
+        # pass replaced peaked at 75 MiB (averages) and 127 MiB (slopes).
+        m = _rough(2000, 5)
+        t = 1e-3 * m.omega_max
+        peaks = []
+        for slopes in (False, True):
+            tracemalloc.start()
+            try:
+                m.kernel_values(t, 511, slopes=slopes)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 75.0 and peaks[1] <= 127.0, peaks

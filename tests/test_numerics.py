@@ -385,6 +385,16 @@ class TestNewtonBracketed:
         got = newton_bracketed(lambda x: (math.atan(x - 0.7), 0.4), 0.2)
         assert got == pytest.approx(0.7, rel=1e-8)
 
+    @pytest.mark.parametrize("r", [1e-3, 1e-10, 1e-50, 1e-100])
+    def test_no_creep_toward_a_far_root(self, r):
+        # 1 - r/x from x0 = 1: once the bracket closes around r, Newton steps
+        # from below only double x, each longer than the last; they count as
+        # failed and geometric bisection takes over (39 evaluations at 1e-10
+        # and none within 100 at 1e-50 when they were taken)
+        f = _recorded(lambda x: (1.0 - r / x, r / (x * x)))
+        assert newton_bracketed(f, 1.0) == pytest.approx(r, rel=1e-15)
+        assert len(set(f.points)) == len(f.points) <= 24
+
     def test_no_sign_change(self):
         with pytest.raises(NumericalError, match="in 100 evaluations"):
             newton_bracketed(lambda x: (-1.0, 0.0), 1.0)

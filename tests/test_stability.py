@@ -230,6 +230,29 @@ class TestNumericEigenvalue:
             with pytest.raises(NumericalError):
                 stability.k_slope(m, t, vector)
 
+    @pytest.mark.parametrize("name", ["einstein", "two-atoms", "triangle", "gapped"])
+    def test_arrays_from_one_pass_give_the_same_bits(self, name):
+        # a Tc solve hands k_numeric and k_slope the two arrays of one pass
+        m = SPLIT_MEASURES[name]
+        for t in (0.003, 0.05, 0.4, 3.0):
+            for n in (1, 4, 64, 300):
+                values, slopes = m.kernel_values(t, 2 * n - 1, slopes=True)
+                want = stability.k_numeric(m, t, n, banded=False)
+                got = stability.k_numeric(m, t, n, banded=False, kernel=values)
+                assert got.k_value == want.k_value and np.array_equal(got.eigvec, want.eigvec)
+                assert (stability.k_slope(m, t, got.eigvec, slopes=slopes)
+                        == stability.k_slope(m, t, got.eigvec))
+
+    def test_short_kernel_is_refused(self, two_atoms):
+        values, slopes = two_atoms.kernel_values(0.1, 5, slopes=True)
+        with pytest.raises(ValidationError, match="rank 4 needs kernel entries 0 .. 7"):
+            stability.k_numeric(two_atoms, 0.1, 4, kernel=values)
+        vector = stability.k_numeric(two_atoms, 0.1, 4).eigvec
+        with pytest.raises(ValidationError, match="rank 4 needs"):
+            stability.k_slope(two_atoms, 0.1, vector, slopes=slopes)
+        with pytest.raises(ValidationError, match="temperature"):
+            stability.k_numeric(two_atoms, -0.1, 3, kernel=values)
+
 
 SPLIT_MEASURES = {
     "einstein": measure.einstein(1.0),
