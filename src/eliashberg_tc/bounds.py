@@ -42,8 +42,9 @@ class BoundConstants:
     b: float
 
 
-@lru_cache(maxsize=8)
-def bound_constants(epsilon: float = 0.65) -> BoundConstants:
+@lru_cache(maxsize=1)
+def bound_constants() -> BoundConstants:
+    epsilon = 0.65
     b = 2.0 * math.sqrt(
         (2.0 ** (1.0 + epsilon) - 1.0) * riemann_zeta(1.0 + epsilon) * riemann_zeta(5.0 - epsilon)
     )

@@ -12,7 +12,8 @@ from the elementary antiderivatives on each linear segment, arranged to
 avoid cancellation, or, once 2 n pi T >= 4 omega_max, from the alternating
 series in the even moments; both are accurate to about 1e-14 relative.
 Their slopes in T^2, which a Tc solve needs beside them, come from the
-same pass, which forms each segment term once for both.
+same pass, which forms each segment term once for both.  A pass holds
+about ``_BLOCK`` grid entries at a time, whatever the count and the measure.
 Measures are immutable after construction, so all reads are safe
 concurrently; the one memo, of moments, only ever gains the value any
 reader would compute.
@@ -48,6 +49,10 @@ _MOMENT_TERMS = 16
 # Smaller offsets are raised to this floor, which keeps c^2 normal and moves
 # no average by more than 2e-140 times the peak density (in 1/omega_max).
 _OFFSET_FLOOR = 1e-140
+# Grid entries (rows x segments or atoms) per block of direct rows in a kernel
+# pass.  A block holds a multiple of 16 rows, and the last the remainder (fewer
+# than two steps), so BLAS sums each row in the order of the whole grid.
+_BLOCK = 1 << 14
 
 
 def _horner(x: np.ndarray, coeffs) -> np.ndarray:
@@ -79,7 +84,6 @@ def _moments(segments: np.ndarray, k_max: int) -> np.ndarray:
     return per_segment.sum(axis=0) / ((k + 1) * (k + 2))
 
 
-
 # The tabulated averages and the averages of x (1 - x), x = w^2/(w^2+c^2),
 # the negated slopes, at Matsubara offsets c in units of omega_max, from the
 # segment antiderivatives.  On [a, b] of width h with density alpha + beta*w,
@@ -99,71 +103,72 @@ def _moments(segments: np.ndarray, k_max: int) -> np.ndarray:
 # v < 1/16, c^2 above ab, a^2: below it the first term holds at least half of
 # the integral).  The first forms of the x (1 - x) integrals cancel badly
 # only where c^2 > ab (a^2) and u (v) < 1, and the second forms are used
-# there; less than a factor 8 is lost.  The two kinds share u, v, r, atan u,
-# log1p v and the series, formed once.  Each helper returns its integrals
-# summed against the density, so the (rows x segments) arrays of only one
-# are alive at a time: at count 511 on 2000 segments one is 8 MB.
+# there; less than a factor 8 is lost.  Each block of rows forms u, atan u,
+# r, v, log1p v and the series once for both kinds; as the v half reuses the
+# names of the u half, at most 8 (rows x segments) grids live, 11 with slopes.
 
-def _atan_integrals(c, c2, r, alpha, h, ab, a2, b2):
-    """The integrals of w^2/(w^2+c^2) and, given r (else None), of
-    w^2 c^2/(w^2+c^2)^2 on each segment, summed against ``alpha``."""
+def _segment_rows(c, terms, slopes):
+    """The averages at the offsets ``c`` (a column) from the segment
+    integrals, and with ``slopes`` their slopes, else 0."""
+    alpha, beta, h, ab, a2, b2, span = terms
+    c2 = c * c
+    # the w^2 integrals, in u
     d = c2 + ab
-    u = c * h
-    u /= d
-    j0 = np.divide(ab, d, out=d)
-    j0 *= h
-    near = (u < _SERIES_BELOW ** 0.5) & (c2 > ab)
-    us = u[near]
-    s = us ** 2
+    x = c * h / d
+    near = (x < _SERIES_BELOW ** 0.5) & (c2 > ab)
+    xs = x[near]
+    s = xs ** 2
     series = _horner(s, _ATAN_SERIES)
-    atan = np.arctan(u)
-    diff = u - atan
-    tail = c * diff
-    tail[near] = np.repeat(c[:, 0], near.sum(axis=1)) * us * s * series  # rows in turn
-    j0 += tail
-    if r is None:
-        return j0 @ alpha, None
-    i0 = np.multiply(0.5 * c, atan, out=atan)  # into spent buffers
-    rest = np.multiply(0.5 * h, r, out=tail)
-    rest *= ab - c2
-    rest /= b2 + c2
-    i0 += rest
-    diff[near] = us ** 3 * series
-    cut = (c2 > ab) & (u < 1.0)
-    rows, cols = np.nonzero(cut)
-    c2s = c2[rows, 0]
-    i0[cut] = (0.5 * h[cols] * r[cut] * (2.0 * ab[cols] ** 2 + c2s * (a2[cols] + b2[cols]))
-               / ((c2s + ab[cols]) * (b2[cols] + c2s)) - 0.5 * c[rows, 0] * diff[cut])
-    return j0 @ alpha, i0 @ alpha
-
-
-def _log_integrals(c2, r, beta, a2, span):
-    """The integrals of w^3/(w^2+c^2) and, given r (else None), of w^3 c^2/
-    (w^2+c^2)^2 on each segment, span = b^2-a^2, summed against ``beta``."""
+    f = np.arctan(x)
+    diff = x - f
+    if slopes:
+        r = c2 / (c2 + a2)
+        i = 0.5 * c * f + 0.5 * h * r * (ab - c2) / (b2 + c2)
+        diff[near] = xs ** 3 * series
+        cut = (c2 > ab) & (x < 1.0)
+        rows, cols = np.nonzero(cut)
+        c2s = c2[rows, 0]
+        i[cut] = (0.5 * h[cols] * r[cut] * (2.0 * ab[cols] ** 2 + c2s * (a2[cols] + b2[cols]))
+                  / (d[cut] * (b2[cols] + c2s)) - 0.5 * c[rows, 0] * diff[cut])
+        rates = i @ alpha
+    j = c * diff
+    j[near] = np.repeat(c[:, 0], near.sum(axis=1)) * xs * s * series  # rows in turn
+    j += h * (ab / d)
+    values = j @ alpha
+    # the w^3 integrals, in v; each name lets go of its u grid
     d = c2 + a2
-    v = span / d
-    j1 = np.divide(a2, d, out=d)
-    j1 *= span
-    near = (v < _SERIES_BELOW) & (c2 > a2)
-    vs = v[near]
-    series = _horner(vs, _LOG_SERIES)
-    log = np.log1p(v)
-    diff = v - log
-    tail = c2 * diff
-    tail[near] = np.repeat(c2[:, 0], near.sum(axis=1)) * vs * vs * series
-    j1 += tail
-    if r is None:
-        return j1 @ beta, None
-    i1 = np.multiply(r, v, out=tail)
-    i1 /= 1.0 + v
-    np.subtract(log, i1, out=i1)
-    i1 *= 0.5 * c2
-    diff[near] = vs * vs * series
-    cut = (c2 > a2) & (v < 1.0)
-    vc = v[cut]
-    c2s = np.repeat(c2[:, 0], cut.sum(axis=1))
-    i1[cut] = 0.5 * c2s * (vc * (1.0 - r[cut] + vc) / (1.0 + vc) - diff[cut])
-    return j1 @ beta, i1 @ beta
+    x = span / d
+    near = (x < _SERIES_BELOW) & (c2 > a2)
+    xs = x[near]
+    series = _horner(xs, _LOG_SERIES)
+    f = np.log1p(x)
+    diff = x - f
+    if slopes:
+        i = (f - r * x / (1.0 + x)) * (0.5 * c2)
+        diff[near] = xs * xs * series
+        cut = (c2 > a2) & (x < 1.0)
+        xc = x[cut]
+        i[cut] = (0.5 * np.repeat(c2[:, 0], cut.sum(axis=1))
+                  * (xc * (1.0 - r[cut] + xc) / (1.0 + xc) - diff[cut]))
+        rates = -np.clip(rates + i @ beta, 0.0, 0.25)
+    j = c2 * diff
+    j[near] = np.repeat(c2[:, 0], near.sum(axis=1)) * xs * xs * series
+    j += span * (a2 / d)
+    # the exact averages lie below 1; clip rounding as c -> 0
+    return np.minimum(values + 0.5 * (j @ beta), 1.0), rates if slopes else 0.0
+
+
+def _atom_rows(c, omegas, weights, slopes):
+    """Like :func:`_segment_rows`, for atoms at ``omegas``."""
+    w2 = omegas ** 2
+    values = np.sum(weights * w2 / (w2 + c ** 2), axis=1)
+    if not slopes:
+        return values, 0.0
+    # sqrt(x (1 - x)) = q / (1 + q^2) is unchanged by q -> 1/q, and the
+    # smaller of the two keeps q^2 from overflowing
+    q = c / omegas
+    p = np.minimum(q, 1.0 / q)
+    return values, -(p / (1.0 + p * p)) ** 2 @ weights
 
 
 @dataclass(frozen=True)
@@ -255,43 +260,39 @@ class SpectralMeasure:
         exchange kernel vanishes, so matrix assembly can index differences
         |n - m| directly.  Any finite positive ``t`` is accepted here, also
         outside the band of :func:`eliashberg_tc.numerics.check_scalar`.
+        The direct rows (atom sums, segment integrals) are formed about
+        ``_BLOCK`` grid entries (at least 16 rows) at a time, whatever the
+        count and the measure size.
         """
         check_scalar("temperature", t, banded=False)
         values, rates = np.zeros(count + 1), np.zeros(count + 1)
+        tabulated = self.kind == "tabulated"
         # far above the band the squared offsets (from T ~ 1e153) and then
         # the offsets themselves (from T ~ 1e306) overflow to inf, which
         # gives each average and each slope its exact limit 0
-        with np.errstate(over="ignore"):
-            c = 2.0 * np.pi * t * np.arange(1, count + 1, dtype=float)  # offsets of 1 .. count
-            if self.kind != "tabulated":
-                c = c[:, None]
-                w2 = self.omegas ** 2
-                values[1:] = np.sum(self.weights * w2 / (w2 + c ** 2), axis=1)
-                if slopes:
-                    # sqrt(x (1 - x)) = q / (1 + q^2) is unchanged by q -> 1/q,
-                    # and the smaller of the two keeps q^2 from overflowing
-                    q = c / self.omegas
-                    p = np.minimum(q, 1.0 / q)
-                    rates[1:] = -(p / (1.0 + p * p)) ** 2 @ self.weights
-                return (values, rates) if slopes else values
-            offsets = c / self.omega_max
-        low = int(np.searchsorted(offsets, _MOMENT_OFFSET))
-        if low:
-            alpha, beta, h, ab, a2, b2, span = self._segment_terms
-            c = np.maximum(offsets[:low], _OFFSET_FLOOR)[:, None]
-            c2 = c * c
-            r = c2 / (c2 + a2) if slopes else None
-            j0, i0 = _atan_integrals(c, c2, r, alpha, h, ab, a2, b2)
-            j1, i1 = _log_integrals(c2, r, beta, a2, span)
-            # the exact averages lie below 1; clip rounding as c -> 0
-            values[1:1 + low] = np.minimum(j0 + 0.5 * j1, 1.0)
-            if slopes:
-                rates[1:1 + low] = -np.clip(i0 + i1, 0.0, 0.25)
-        if low < count:
+        direct, width = count, self.weights.size
+        if tabulated:
+            with np.errstate(over="ignore"):
+                offsets = 2.0 * np.pi * t * np.arange(1, count + 1, dtype=float) / self.omega_max
+            direct, width = int(np.searchsorted(offsets, _MOMENT_OFFSET)), len(self.segments[0])
+        step = 16 * max(_BLOCK // (16 * max(width, 1)), 1)  # scaled() may merge every node
+        lo = 0
+        while lo < direct:
+            hi = direct if direct - lo < 2 * step else lo + step
+            if tabulated:
+                c = np.maximum(offsets[lo:hi], _OFFSET_FLOOR)[:, None]
+                block = _segment_rows(c, self._segment_terms, slopes)
+            else:
+                with np.errstate(over="ignore"):
+                    c = 2.0 * np.pi * t * np.arange(lo + 1, hi + 1, dtype=float)[:, None]
+                    block = _atom_rows(c, self.omegas, self.weights, slopes)
+            values[1 + lo:1 + hi], rates[1 + lo:1 + hi] = block
+            lo = hi
+        if direct < count:
             # the moment series and, for the slopes, minus x d/dx of it
-            x = np.reciprocal(offsets[low:]) ** 2
+            x = np.reciprocal(offsets[direct:]) ** 2
             far = x * _horner(-x, self._moment_series if slopes else self._moment_series[:, 0, 0])
-            values[1 + low:], rates[1 + low:] = (far[0], -far[1]) if slopes else (far, 0.0)
+            values[1 + direct:], rates[1 + direct:] = (far[0], -far[1]) if slopes else (far, 0.0)
         return (values, rates) if slopes else values
 
     def kernel_slopes(self, t: float, count: int) -> np.ndarray:
@@ -317,10 +318,8 @@ class SpectralMeasure:
         if self.kind == "einstein":
             return f"einstein(omega={self.omegas[0]:.6g})"
         if self.kind == "discrete":
-            pairs = ", ".join(
-                f"({w:.4g}, {o:.4g})" for w, o in zip(self.weights, self.omegas)
-            )
-            return f"discrete[{pairs}]"
+            pairs = (f"({w:.4g}, {o:.4g})" for w, o in zip(self.weights, self.omegas))
+            return f"discrete[{', '.join(pairs)}]"
         return f"tabulated({len(self.omegas)} nodes, support <= {self.omega_max:.6g})"
 
 

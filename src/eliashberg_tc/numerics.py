@@ -173,15 +173,16 @@ def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray],
     return None
 
 
-def _certified(matvec: Callable[[np.ndarray], np.ndarray], value: float, vector: np.ndarray,
-               residual_tol: float) -> Optional[EigenPair]:
+def _certified(matvec: Callable[[np.ndarray], np.ndarray], value: float,
+               vector: np.ndarray) -> Optional[EigenPair]:
     """The pair (``value``, ``vector``), unit and signed by its first entry,
     if it meets the residual contract of :func:`sym_eig_top` (computed with
     ``matvec``) and its vector is strictly positive, which on a matrix with
     positive off-diagonal entries only the top (Perron) pair can; else None."""
     vector = vector / math.copysign(math.sqrt(vector @ vector), vector[0])
     residual = matvec(vector) - value * vector
-    if residual @ residual <= (residual_tol * (1.0 + abs(value))) ** 2 and (vector > 0.0).all():
+    bound = (DEFAULT_TOL.eig_residual * (1.0 + abs(value))) ** 2
+    if residual @ residual <= bound and (vector > 0.0).all():
         return EigenPair(value=value, vector=vector)
     return None
 
@@ -207,8 +208,7 @@ def _rqi_top(m: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray]:
     return value, x
 
 
-def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual,
-                start: Optional[np.ndarray] = None) -> EigenPair:
+def sym_eig_top(matrix, start: Optional[np.ndarray] = None) -> EigenPair:
     """Algebraically largest eigenvalue of a real symmetric matrix, given
     dense or as a split truncation; the three routes give the same pair to
     rounding.
@@ -223,8 +223,8 @@ def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual,
     it goes to Lanczos on ``matvec`` (:func:`_lanczos_top`, 10-15 products)
     from a positive vector; below that rank, given a ``start`` vector, to
     Rayleigh-quotient iteration on ``dense()`` (:func:`_rqi_top`, 1-3
-    solves).  The pair is kept only if :func:`_certified`: it meets the
-    residual contract below and its vector is strictly positive.
+    solves).  The pair is kept only if :func:`_certified`: its residual is at
+    most ``eig_residual (1 + |lam|)`` and its vector is strictly positive.
     Otherwise, and for every other split truncation, ``dense()`` takes the
     last route, and a dense ndarray always does: a validated dense ``eigh``.
 
@@ -234,8 +234,6 @@ def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual,
         Real symmetric with finite entries.  Symmetry is required exactly;
         matrices in this package are assembled mirrored, never recomputed
         per triangle.
-    residual_tol : float
-        The result must satisfy ``||M v - lam v|| <= residual_tol * (1 + |lam|)``.
     start : (N,) ndarray, optional
         An approximate top eigenvector, for a split truncation below rank 72.
 
@@ -249,7 +247,7 @@ def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual,
         if (n >= _KRYLOV_MIN_RANK or start is not None) and _kernel_eligible(matrix.kernel):
             candidate = (_lanczos_top(matrix.matvec, n) if n >= _KRYLOV_MIN_RANK
                          else _rqi_top(matrix.dense(), start))
-            pair = candidate and _certified(matrix.matvec, *candidate, residual_tol)
+            pair = candidate and _certified(matrix.matvec, *candidate)
             if pair is not None:
                 return pair
         matrix = matrix.dense()
@@ -265,10 +263,10 @@ def sym_eig_top(matrix, residual_tol: float = DEFAULT_TOL.eig_residual,
     vector = _sign_normalize(eigvecs[:, -1].copy())
     vector /= np.linalg.norm(vector)
     residual = float(np.linalg.norm(m @ vector - value * vector))
-    if residual > residual_tol * (1.0 + abs(value)):
+    if residual > DEFAULT_TOL.eig_residual * (1.0 + abs(value)):
         raise NumericalError(
             f"eigenpair residual {residual:.3e} exceeds contract "
-            f"{residual_tol:.1e}*(1+|{value:.6g}|)"
+            f"{DEFAULT_TOL.eig_residual:.1e}*(1+|{value:.6g}|)"
         )
     return EigenPair(value=value, vector=vector)
 

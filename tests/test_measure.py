@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from eliashberg_tc import measure
 from eliashberg_tc.errors import ValidationError
-from eliashberg_tc.numerics import integrate_adaptive
 
 NAN, INF = float("nan"), float("inf")
 
@@ -53,6 +53,13 @@ def _rough(nodes: int, seed: int) -> measure.SpectralMeasure:
     xs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, nodes - 2)), [1.0]])
     ys = np.concatenate([[0.0], rng.uniform(0.2, 1.0, nodes - 2), [0.0]])
     return _unit_mass(xs, ys)
+
+
+def _atoms(count: int, seed: int) -> measure.SpectralMeasure:
+    """Random mixture of ``count`` atoms at frequencies spread over [0.05, 1]."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, count)
+    return measure.discrete(list(zip(weights / weights.sum(), rng.uniform(0.05, 1.0, count))))
 
 
 def _oracle(m: measure.SpectralMeasure):
@@ -217,14 +224,11 @@ class TestMoments:
         assert m.moment(2) == pytest.approx(5.0, abs=1e-14)
 
     def test_triangle_second_moment(self, triangle):
-        # density 2w on [0, 1] has second moment 1/2 (calculus oracle);
-        # the symmetric triangle peaked at 1/2 is checked by quadrature below
+        # density 2w on [0, 1] has second moment 1/2, and the symmetric
+        # triangle peaked at 1/2 has 1/16 + 11/48 = 7/24 (calculus oracles)
         ramp = measure.tabulated([(0.0, 0.0), (1.0, 2.0)])
         assert ramp.moment(2) == pytest.approx(0.5, rel=1e-12)
-        want = integrate_adaptive(
-            lambda w: (4 * w if w <= 0.5 else 4 * (1 - w)) * w * w, 0.0, 1.0, 1e-12
-        )
-        assert triangle.moment(2) == pytest.approx(want, rel=1e-10)
+        assert triangle.moment(2) == pytest.approx(7.0 / 24.0, rel=1e-10)
 
     def test_tabulated_odd_and_high_orders(self):
         # density 2w on [0, 1]: <w^k> = 2 / (k + 2)
@@ -305,14 +309,9 @@ class TestMatsubaraAverages:
                 assert m.kernel_average(n, t) == pytest.approx(want, abs=1e-14)
 
     def test_tabulated_against_quadrature(self, triangle):
-        t = 0.2
-        c = 2.0 * math.pi * t
-
-        def density(w):
-            return 4.0 * w if w <= 0.5 else 4.0 * (1.0 - w)
-
-        want = integrate_adaptive(lambda w: density(w) * w * w / (w * w + c * c), 0.0, 1.0, 1e-12)
-        assert triangle.kernel_average(1, t) == pytest.approx(want, rel=1e-9)
+        # against the 40-digit antiderivative oracle defined above
+        want = float(_oracle(triangle)(0.2, 1))
+        assert triangle.kernel_average(1, 0.2) == pytest.approx(want, rel=1e-9)
 
     def test_domain_errors(self, einstein_unit):
         with pytest.raises(ValidationError):
@@ -342,6 +341,16 @@ class TestSegmentTable:
         got = scaled.kernel_values(0.1 * s, 7)
         assert got == pytest.approx(m.kernel_values(0.1, 7), rel=1e-12)
         assert scaled.moment(2) == pytest.approx(m.moment(2) * s * s, rel=1e-12)
+
+    def test_scaling_that_merges_every_node(self):
+        # no segment is left, so no mass: every average and slope is zero
+        lo, hi, s = 0.8184808436607272, 0.8184808436607273, 0.9046800706458055
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small-omega advisory
+            scaled = measure.tabulated([(lo, 0.0), (hi, 2.0 / (hi - lo))]).scaled(s)
+        assert scaled.segments.shape == (4, 0)
+        values, slopes = scaled.kernel_values(0.01, 7, slopes=True)
+        assert not values.any() and not slopes.any()
 
 
 ORACLE_MEASURES = {
@@ -590,6 +599,7 @@ PASS_MEASURES = {
     "two-atoms": lambda: measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
     "five-atoms": lambda: measure.discrete([(0.1, 0.2), (0.3, 0.5), (0.2, 1.0), (0.3, 1.7),
                                             (0.1, 2.0)]),
+    "atoms-3000": lambda: _atoms(3000, 4),
 }
 
 
@@ -616,7 +626,8 @@ class TestKernelPass:
         _assert_pass_is_reference(m, 10.0 ** log_t * m.omega_max, count)
 
     @pytest.mark.parametrize("name, count", [("triangle", 2047), ("rough-1000", 127),
-                                             ("einstein", 2047), ("two-atoms", 2047)])
+                                             ("einstein", 2047), ("two-atoms", 2047),
+                                             ("atoms-3000", 2047)])
     def test_extreme_temperatures_stay_finite(self, name, count):
         m = PASS_MEASURES[name]()
         for ratio in np.geomspace(1e-100, 1e100, 21):
@@ -640,3 +651,37 @@ class TestKernelPass:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 75.0 and peaks[1] <= 127.0, peaks
+
+    @pytest.mark.parametrize("name", ["rough-1000", "atoms-3000"])
+    def test_blocks_keep_the_bits(self, name, monkeypatch):
+        # 16-row blocks (the fewest a block holds) and one block for the
+        # whole grid give every average and slope the same bits.  Only with
+        # one BLAS thread, as the benchmark runs: several may split a
+        # whole-grid product between rows that are not 16 apart (at 2047
+        # averages on rough-1000 at T = 1e-3, two threads move 2 averages)
+        threads = [os.environ.get(key) for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+        blocks = (1, 500, 1 << 40) if "1" in threads or os.cpu_count() == 1 else (1, 500)
+        m = PASS_MEASURES[name]()
+        for count in (63, 511, 2047):
+            for ratio in (1e-4, 1e-3, 1e-2, 0.1, 3.0):
+                t = ratio * m.omega_max
+                passes = set()
+                for block in blocks:
+                    monkeypatch.setattr(measure, "_BLOCK", block)
+                    values, slopes = m.kernel_values(t, count, slopes=True)
+                    passes.add(values.tobytes() + slopes.tobytes())
+                assert len(passes) == 1, (count, ratio)
+
+    @pytest.mark.parametrize("name", ["rough-5000", "atoms-5000"])
+    def test_memory_is_bounded_at_the_rank_4096_kernel_length(self, name):
+        # 8191 averages and slopes at T = 1e-3 omega_max, where the 5000-node
+        # density has 636 rows on the segment route: a whole grid peaked at
+        # 1200 MiB (density) and 1250 MiB (atoms)
+        m = _rough(5000, 6) if name == "rough-5000" else _atoms(5000, 6)
+        tracemalloc.start()
+        try:
+            m.kernel_values(1e-3 * m.omega_max, 8191, slopes=True)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak < 64.0, peak

@@ -196,7 +196,7 @@ class TestKrylovRoute:
         base = gamma_model.assemble_gamma(2.0, 128)
         tol = numerics.DEFAULT_TOL.eig_residual
         ritz = numerics._lanczos_top(base.__matmul__, 128)
-        certified = numerics._certified(base.__matmul__, *ritz, tol)
+        certified = numerics._certified(base.__matmul__, *ritz)
         assert certified is not None and np.all(certified.vector > 0.0)
         mat = base.copy()
         mat[-1] *= 1e-12
@@ -205,7 +205,7 @@ class TestKrylovRoute:
         value, vector = numerics._lanczos_top(mat.__matmul__, 128)
         vector[-1] = -math.copysign(vector[-1], vector[0])
         assert np.linalg.norm(mat @ vector - value * vector) <= tol * (1.0 + abs(value))
-        assert numerics._certified(mat.__matmul__, value, vector, tol) is None
+        assert numerics._certified(mat.__matmul__, value, vector) is None
 
     def test_tiny_entries_take_dense_route(self, eigh_sizes, lanczos_calls):
         # at omega/T = 1e-100 every entry is below 1e-200, where squared

@@ -388,8 +388,7 @@ class TestSplitTruncation:
         assert lanczos_runs == [split] and assemblies == [n]
         mat = split.dense()
         assert assemblies == [n] and not mat.flags.writeable
-        ritz = numerics._certified(mat.__matmul__, *numerics._lanczos_top(mat.__matmul__, n),
-                                   numerics.DEFAULT_TOL.eig_residual)
+        ritz = numerics._certified(mat.__matmul__, *numerics._lanczos_top(mat.__matmul__, n))
         assert pair.value == ritz.value and np.array_equal(pair.vector, ritz.vector)
         vector = pair.vector
         assert np.array_equal(split.matvec(vector), mat @ vector)
