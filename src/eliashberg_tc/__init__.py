@@ -18,7 +18,7 @@ The public surface:
 """
 
 from .errors import BracketError, NumericalError, QuadratureError, ValidationError
-from .measure import SpectralMeasure, discrete, einstein, load, tabulated, validate
+from .measure import SpectralMeasure, discrete, einstein, load, tabulated
 from .stability import (
     KBound,
     assemble_k,
@@ -75,7 +75,6 @@ __all__ = [
     "tc_sharp",
     "tc_tilde",
     "threshold_table",
-    "validate",
 ]
 
 __version__ = "0.1.0"

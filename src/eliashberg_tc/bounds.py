@@ -34,11 +34,10 @@ class BoundConstants:
     """Constants of the spectral-radius estimate.
 
     ``b`` is recomputed from the zeta evaluations at import-free call time,
-    never hard-coded; ``epsilon`` is inherited from the companion operator
-    analysis and exposed for inspection but not tuned here.
+    never hard-coded, at the exponent epsilon = 0.65 inherited from the
+    companion operator analysis and not tuned here.
     """
 
-    epsilon: float
     b: float
 
 
@@ -48,7 +47,7 @@ def bound_constants() -> BoundConstants:
     b = 2.0 * math.sqrt(
         (2.0 ** (1.0 + epsilon) - 1.0) * riemann_zeta(1.0 + epsilon) * riemann_zeta(5.0 - epsilon)
     )
-    return BoundConstants(epsilon=epsilon, b=b)
+    return BoundConstants(b=b)
 
 
 def _varpi_squared(m: SpectralMeasure, t: float) -> float:

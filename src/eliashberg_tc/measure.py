@@ -409,19 +409,6 @@ def tabulated(nodes: Sequence[tuple[float, float]]) -> SpectralMeasure:
     )
 
 
-def validate(raw) -> SpectralMeasure:
-    """Normalize a raw measure description.
-
-    Accepts an existing :class:`SpectralMeasure` (returned as-is; they are
-    validated on construction) or a dict in the measure-file schema.
-    """
-    if isinstance(raw, SpectralMeasure):
-        return raw
-    if isinstance(raw, dict):
-        return from_dict(raw)
-    raise ValidationError(f"cannot interpret {type(raw).__name__} as a measure")
-
-
 def _number(value, field: str) -> float:
     """A JSON number (int or float, not a bool) from a measure description."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):

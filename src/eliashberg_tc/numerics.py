@@ -284,9 +284,10 @@ def power_iteration_positive(
     nonnegative).  Iteration starts from the all-ones vector; convergence is
     certified through the min/max component ratios, which bracket the
     spectral radius of a primitive nonnegative operator from below and
-    above at every step.
+    above at every step.  They stop once their spread is at most
+    max(``tol``, 8 n eps) of the upper one: 8 n eps is the rounding floor.
     """
-    check_scalar("tolerance", tol)
+    spread = max(check_scalar("tolerance", tol), 8.0 * n * _EPS)
     x = np.ones(n, dtype=float)
     lo, hi = 0.0, np.inf
     for iteration in range(1, max_iter + 1):
@@ -299,7 +300,7 @@ def power_iteration_positive(
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         if hi <= 0.0:
             return 0.0
-        if hi - lo <= tol * hi:
+        if hi - lo <= spread * hi:
             return 0.5 * (lo + hi)
         x = y / np.linalg.norm(y)
     raise NumericalError(
@@ -419,10 +420,8 @@ def newton_bracketed(
     point and returns that end point: after a Newton step the error is of
     the order of the step squared.
     """
-    if not 0.0 < x0 < math.inf:
-        raise ValidationError(f"start must be finite and positive, got {x0!r}")
+    x = check_scalar("start", x0, banded=False)
     a, b = 0.0, math.inf
-    x = x0
     last = 0.0  # the previous step, signed
     factor = 4.0
     for _ in range(_NEWTON_MAX_EVALS):

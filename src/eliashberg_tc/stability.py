@@ -455,52 +455,27 @@ class DerivativeCheck:
     residual: float
 
 
-_DERIV_COEFFS = (4392.0, 3888.0, 1370.0, 148.0, 2.0)
-
-
-def _deriv_combination(m: SpectralMeasure, t: float) -> float:
-    kv = m.kernel_values(t, 3)
-    return 3.0 * kv[1] + 2.0 * kv[2] - kv[3]
-
-
-def _deriv_closed_integrand(omega: np.ndarray, s: float) -> np.ndarray:
-    """Rational closed form of d/ds of the kernel combination at one
-    frequency, with s the squared first Matsubara offset (2 pi T)^2."""
-    x = omega * omega
-    numer = np.zeros_like(x)
-    for i, coeff in enumerate(_DERIV_COEFFS, start=1):
-        numer += coeff * x ** i * s ** (5 - i)
-    denom = ((s + x) * (4.0 * s + x) * (9.0 * s + x)) ** 2
-    return -numer / denom
+def _combination(kernel: np.ndarray) -> float:
+    """3<<1>> + 2<<2>> - <<3>>, or the same combination of slopes."""
+    return 3.0 * kernel[1] + 2.0 * kernel[2] - kernel[3]
 
 
 def dk_dT2_identity_check(m: SpectralMeasure, t: float) -> DerivativeCheck:
-    """Check the closed rational form of the temperature derivative.
+    """Check the temperature slopes that every Tc Newton step uses.
 
     The combination 3<<1>> + 2<<2>> - <<3>> is differentiated with respect
-    to T^2 both by central finite differences and in closed form.  For atom
-    measures the closed form is the rational integrand (whose numerator
-    coefficients are the integers 4392, 3888, 1370, 148, 2) summed over the
-    atoms, with the chain-rule factor between d/d(T^2) and the squared
-    Matsubara offset s = 4 pi^2 T^2 included explicitly; tabulated densities
-    integrate the same integrand by the segment antiderivatives of
-    :meth:`SpectralMeasure.kernel_slopes`.  The closed form is strictly
-    negative, which is what makes the rank-two coupling bound invertible at
-    every temperature.
+    to T^2 by central finite differences of the averages and in closed form
+    from :meth:`SpectralMeasure.kernel_slopes`, for every measure kind.  The
+    closed form averages a negative rational integrand in w^2 and
+    s = 4 pi^2 T^2 (numerator coefficients 4392, 3888, 1370, 148, 2), which
+    is what makes the rank-two coupling bound invertible at every
+    temperature.
     """
     check_scalar("temperature", t)
     u = t * t
     h = 1e-5 * u
-    fd = (_deriv_combination(m, math.sqrt(u + h)) - _deriv_combination(m, math.sqrt(u - h))) / (
-        2.0 * h
-    )
-    if m.kind == "tabulated":
-        # kernel_slopes gives T^2 d<<n>>/d(T^2)
-        slopes = m.kernel_slopes(t, 3)
-        closed = (3.0 * slopes[1] + 2.0 * slopes[2] - slopes[3]) / u
-    else:
-        jacobian = 4.0 * math.pi ** 2  # ds/d(T^2)
-        integrand = _deriv_closed_integrand(m.omegas, jacobian * u)
-        closed = jacobian * float(np.sum(m.weights * integrand))
+    fd = (_combination(m.kernel_values(math.sqrt(u + h), 3))
+          - _combination(m.kernel_values(math.sqrt(u - h), 3))) / (2.0 * h)
+    closed = _combination(m.kernel_slopes(t, 3)) / u
     residual = abs(fd - closed) / max(abs(closed), 1e-300)
     return DerivativeCheck(finite_difference=fd, closed_form=closed, residual=residual)

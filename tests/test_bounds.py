@@ -15,9 +15,6 @@ class TestConstants:
     def test_b_recomputed_matches_oracle(self):
         assert bounds.bound_constants().b == pytest.approx(B_ORACLE, abs=1e-10)
 
-    def test_epsilon_exposed(self):
-        assert bounds.bound_constants().epsilon == 0.65
-
 
 class TestKStar:
     def test_atom_at_varpi_one(self):

@@ -241,9 +241,8 @@ SCALARS = st.sampled_from([
     0.05, 0.3, 2.0, 40.0, MIN_MAGNITUDE, MAX_MAGNITUDE,  # valid, band edges included
     0.0, -1.0, -MAX_MAGNITUDE, NAN, INF, -INF, 1e300, -1e300, 1e-300,
 ])
-# Tolerances below machine precision are valid but make power iteration run to
-# its iteration cap (seconds), so the lower band edge is left out here.
-TOLERANCES = st.sampled_from([1e-6, 1e-3, MAX_MAGNITUDE, 0.0, -1e-6, NAN, INF, 1e300, 1e-300])
+TOLERANCES = st.sampled_from([1e-6, 1e-3, MIN_MAGNITUDE, MAX_MAGNITUDE, 0.0, -1e-6, NAN, INF,
+                              1e300, 1e-300])
 # Small valid ranks only: the property must not allocate a large matrix.
 RANKS = st.sampled_from([1, 2, 3, 4, 7, np.int64(5), 0, -2, 2.5, 4.0, True, MAX_RANK + 1])
 

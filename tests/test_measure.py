@@ -207,13 +207,6 @@ class TestFileFormat:
             with pytest.raises(ValidationError, match=re.escape(f"{field}=")):
                 measure.from_json(text)
 
-    def test_validate_passthrough_and_dict(self):
-        m = measure.einstein(1.0)
-        assert measure.validate(m) is m
-        assert measure.validate({"type": "einstein", "omega": 3.0}).omega_max == 3.0
-        with pytest.raises(ValidationError):
-            measure.validate([1, 2, 3])
-
 
 class TestMoments:
     def test_einstein_exact(self):

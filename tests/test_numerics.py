@@ -385,6 +385,11 @@ class TestNewtonBracketed:
         got = newton_bracketed(lambda x: (math.atan(x - 0.7), 0.4), 0.2)
         assert got == pytest.approx(0.7, rel=1e-8)
 
+    @pytest.mark.parametrize("x0", [0.0, -1.0, math.nan, math.inf])
+    def test_start_must_be_finite_and_positive(self, x0):
+        with pytest.raises(ValidationError, match="start must be finite and positive"):
+            newton_bracketed(lambda x: (x - 1.0, 1.0), x0)
+
     @pytest.mark.parametrize("r", [1e-3, 1e-10, 1e-50, 1e-100])
     def test_no_creep_toward_a_far_root(self, r):
         # 1 - r/x from x0 = 1: once the bracket closes around r, Newton steps

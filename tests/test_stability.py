@@ -601,12 +601,10 @@ class TestFixedPointOperator:
         lam = stability.k_numeric(einstein_unit, 0.3, 8).lambda_upper
         assert stability.c_spectral_radius(einstein_unit, 0.3, 2.0 * lam, 8) > 1.0
 
-    def test_independent_of_start_scale(self, einstein_unit):
-        # spectral radius of the rank-32 operator at a fixed coupling agrees
-        # with a dense nonsymmetric eigensolve
-        lam = 1.3
-        n = 32
-        op = stability.assemble_k(einstein_unit, 0.3, n)
+    @staticmethod
+    def _dense_radius(m: measure.SpectralMeasure, t: float, lam: float, n: int) -> float:
+        """max |eigvals| of resolvent x exchange, by a dense nonsymmetric eigensolve."""
+        op = stability.assemble_k(m, t, n)
         idx = np.arange(n)
         inv_sqrt = 1.0 / np.sqrt(2.0 * idx + 1.0)
         diff = np.abs(idx[:, None] - idx[None, :])
@@ -614,9 +612,19 @@ class TestFixedPointOperator:
         exchange = (op.kernel[diff] + op.kernel[summ]) * np.outer(inv_sqrt, inv_sqrt)
         prefix = np.concatenate(([0.0], np.cumsum(op.kernel[1:n])))
         resolvent = 1.0 / (1.0 / lam + 2.0 * prefix / (2.0 * idx + 1.0))
-        dense = np.max(np.abs(np.linalg.eigvals(resolvent[:, None] * exchange)))
-        got = stability.c_spectral_radius(einstein_unit, 0.3, lam, n, tol=1e-11)
-        assert got == pytest.approx(float(dense), rel=1e-9)
+        return float(np.max(np.abs(np.linalg.eigvals(resolvent[:, None] * exchange))))
+
+    def test_independent_of_start_scale(self, einstein_unit):
+        # spectral radius of the rank-32 operator at a fixed coupling agrees
+        # with a dense nonsymmetric eigensolve
+        got = stability.c_spectral_radius(einstein_unit, 0.3, 1.3, 32, tol=1e-11)
+        assert got == pytest.approx(self._dense_radius(einstein_unit, 0.3, 1.3, 32), rel=1e-9)
+
+    def test_tolerance_below_rounding_returns(self, einstein_unit):
+        # tol at the lower band edge stops at the rounding floor of the
+        # bracket instead of running to the iteration cap
+        got = stability.c_spectral_radius(einstein_unit, 0.05, 0.05, 2, tol=numerics.MIN_MAGNITUDE)
+        assert got == pytest.approx(self._dense_radius(einstein_unit, 0.05, 0.05, 2), rel=1e-12)
 
 
 class TestDerivativeIdentity:
@@ -639,24 +647,38 @@ class TestDerivativeIdentity:
 
     @staticmethod
     def _oracle(m: measure.SpectralMeasure, t: float) -> float:
-        """d/d(T^2) of 3<<1>> + 2<<2>> - <<3>> for a tabulated density, in 40
-        digits: the integer rational integrand integrated segment by segment."""
+        """d/d(T^2) of 3<<1>> + 2<<2>> - <<3>>, in 40 digits: the integer
+        rational integrand summed over the atoms, or integrated segment by
+        segment for a tabulated density."""
         with mpmath.workdps(40):
             s = 4 * mpmath.pi ** 2 * mpmath.mpf(t) ** 2
 
-            def integrand(w, alpha, beta):
+            def integrand(w):
                 x = w * w
                 numer = (4392 * x * s ** 4 + 3888 * x ** 2 * s ** 3 + 1370 * x ** 3 * s ** 2
                          + 148 * x ** 4 * s + 2 * x ** 5)
-                return -(alpha + beta * w) * numer / ((s + x) * (4 * s + x) * (9 * s + x)) ** 2
+                return -numer / ((s + x) * (4 * s + x) * (9 * s + x)) ** 2
 
+            if m.kind != "tabulated":
+                total = sum(mpmath.mpf(weight) * integrand(mpmath.mpf(w))
+                            for weight, w in zip(m.weights.tolist(), m.omegas.tolist()))
+                return float(4 * mpmath.pi ** 2 * total)
             total = 0
             for a, b, pa, pb in m.segments.T.tolist():
                 a, b, pa, pb = (mpmath.mpf(v) for v in (a, b, pa, pb))
                 beta = (pb - pa) / (b - a)
                 alpha = pa - beta * a
-                total += mpmath.quad(lambda w: integrand(w, alpha, beta), [a, b])
+                total += mpmath.quad(lambda w: (alpha + beta * w) * integrand(w), [a, b])
             return float(4 * mpmath.pi ** 2 * total)
+
+    @pytest.mark.parametrize("atoms", [[(1.0, 1.0)], [(0.5, 0.8), (0.5, 1.2)],
+                                       [(0.2, 0.5), (0.5, 1.0), (0.3, 2.0)]])
+    def test_atom_closed_form_against_oracle(self, atoms):
+        m = measure.einstein(1.0) if len(atoms) == 1 else measure.discrete(atoms)
+        for t in np.geomspace(0.05, 3.0, 7):
+            got = stability.dk_dT2_identity_check(m, float(t)).closed_form
+            want = self._oracle(m, float(t))
+            assert abs(got - want) <= 1e-13 * abs(want), (atoms, t, got, want)
 
     @pytest.mark.parametrize("name", ["triangle", "gapped", "random-0", "random-1", "random-2"])
     def test_tabulated_closed_form_against_oracle(self, name, triangle):
