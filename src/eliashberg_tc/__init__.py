@@ -17,7 +17,7 @@ The public surface:
 * :mod:`eliashberg_tc.verify` -- the invariant suite.
 """
 
-from .errors import BracketError, NumericalError, QuadratureError, ValidationError
+from .errors import NumericalError, ValidationError
 from .measure import SpectralMeasure, discrete, einstein, load, tabulated
 from .stability import (
     KBound,
@@ -43,10 +43,8 @@ from .bounds import (
 from .tc_solver import TcReport, tc_converged, tc_n
 
 __all__ = [
-    "BracketError",
     "KBound",
     "NumericalError",
-    "QuadratureError",
     "SpectralMeasure",
     "TcReport",
     "ValidationError",

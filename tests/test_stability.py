@@ -585,6 +585,14 @@ class TestRankTwoClosedCoupling:
         assert scaled == pytest.approx(gamma_model.g_top(2.0, 2).value, rel=1e-6)
 
 
+FIXED_POINT_MEASURES = {
+    "einstein": measure.einstein(1.0),
+    "two-atoms": measure.discrete([(0.5, 0.8), (0.5, 1.2)]),
+    "three-atoms": measure.discrete([(0.2, 0.5), (0.5, 1.0), (0.3, 2.0)]),
+    "triangle": measure.tabulated([(0.0, 0.0), (0.5, 2.0), (1.0, 0.0)]),
+}
+
+
 class TestFixedPointOperator:
     @pytest.mark.parametrize("n", [4, 32])
     def test_radius_one_at_threshold(self, n, two_atoms, triangle):
@@ -614,15 +622,22 @@ class TestFixedPointOperator:
         resolvent = 1.0 / (1.0 / lam + 2.0 * prefix / (2.0 * idx + 1.0))
         return float(np.max(np.abs(np.linalg.eigvals(resolvent[:, None] * exchange))))
 
-    def test_independent_of_start_scale(self, einstein_unit):
-        # spectral radius of the rank-32 operator at a fixed coupling agrees
-        # with a dense nonsymmetric eigensolve
-        got = stability.c_spectral_radius(einstein_unit, 0.3, 1.3, 32, tol=1e-11)
-        assert got == pytest.approx(self._dense_radius(einstein_unit, 0.3, 1.3, 32), rel=1e-9)
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 64])
+    @pytest.mark.parametrize("t", [0.03, 0.3, 40.0])
+    @pytest.mark.parametrize("name", sorted(FIXED_POINT_MEASURES))
+    def test_matches_dense_radius(self, name, t, n):
+        # the symmetric eigensolve agrees with a dense nonsymmetric one on
+        # both sides of the threshold, and is one at it, to rounding
+        m = FIXED_POINT_MEASURES[name]
+        threshold = stability.k_numeric(m, t, n).lambda_upper
+        for lam in (0.5 * threshold, threshold, 2.0 * threshold):
+            rho = stability.c_spectral_radius(m, t, lam, n)
+            assert rho == pytest.approx(self._dense_radius(m, t, lam, n), rel=1e-12)
+            assert lam != threshold or abs(rho - 1.0) <= 1e-12
 
     def test_tolerance_below_rounding_returns(self, einstein_unit):
-        # tol at the lower band edge stops at the rounding floor of the
-        # bracket instead of running to the iteration cap
+        # tol at the lower band edge is accepted: the eigensolve is exact to
+        # rounding whatever the tolerance asked for
         got = stability.c_spectral_radius(einstein_unit, 0.05, 0.05, 2, tol=numerics.MIN_MAGNITUDE)
         assert got == pytest.approx(self._dense_radius(einstein_unit, 0.05, 0.05, 2), rel=1e-12)
 
